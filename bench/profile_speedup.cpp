@@ -6,13 +6,20 @@
 //                O(log n) binary-searched queries)
 //   validation:  validate_schedule kReference (serial, map profiles)  vs
 //                kSerial (flat)  vs  kParallel (flat + per-port threads)
+//   alternate:   the admission books' call pattern (one max_over probe, one
+//                reservation, repeat) on a profile of 64 / 1k / 10k resident
+//                breakpoints: buffered `add` (a full merge before every
+//                probe) vs `add_in_place`, median of >= 5 reps
 //
+// The `spread` column is (max - min) / run_s over the repetitions; run_s is
+// the mean for queries/validate and the median for alternate.
 // Both sides of every pair are checked to produce identical results before
 // timing is reported. Results land in BENCH_profile_speedup.json by default;
 // pass --json=PATH to redirect or --quick for a smoke run that skips the
 // JSON artifact. (ISSUE target: >=5x on profile queries and >=2x on
 // whole-schedule validation at the 100k-request scale.)
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <iostream>
@@ -48,6 +55,45 @@ struct Interval {
 struct QueryProbe {
   double t0, t1;
 };
+
+/// One step of the alternating pattern: probe [lo, hi), then reserve it.
+struct AlternatingOp {
+  double lo, hi, bw;
+};
+
+/// Runs `ops` on every profile of `books` (copies of one base profile) and
+/// returns the wall time; `checksum` folds every probe result.
+double time_alternating(std::vector<TimelineProfile>& books,
+                        const std::vector<AlternatingOp>& ops, bool in_place,
+                        double& checksum) {
+  return time_once([&] {
+    double acc = 0.0;
+    for (TimelineProfile& book : books) {
+      for (const AlternatingOp& op : ops) {
+        acc += book.max_over(at(op.lo), at(op.hi));
+        if (in_place) {
+          book.add_in_place(at(op.lo), at(op.hi), op.bw);
+        } else {
+          book.add(at(op.lo), at(op.hi), op.bw);
+        }
+      }
+    }
+    checksum = acc;
+  });
+}
+
+double median_of(std::vector<double> xs) {
+  std::sort(xs.begin(), xs.end());
+  const std::size_t n = xs.size();
+  return n % 2 == 1 ? xs[n / 2] : 0.5 * (xs[n / 2 - 1] + xs[n / 2]);
+}
+
+/// (max - min) / center, the relative spread reported per row ("-" for a
+/// single run, which has none).
+std::string spread_of(const RunningStats& runs, double center) {
+  if (runs.count() < 2 || !(center > 0.0)) return "-";
+  return format_double((runs.max() - runs.min()) / center, 3);
+}
 
 /// One structure's timings over the same interval stack + query mix.
 struct ProfileTiming {
@@ -131,7 +177,7 @@ int run(int argc, const char* const* argv) {
   const std::size_t query_count = args.quick ? 100 : 400;
   const std::size_t reps = args.quick ? 1 : 3;
 
-  Table table{{"section", "requests", "variant", "build_s", "run_s", "speedup"}};
+  Table table{{"section", "requests", "variant", "build_s", "run_s", "speedup", "spread"}};
   std::vector<std::string> names;
   std::vector<RunningStats> walls;
 
@@ -171,10 +217,12 @@ int run(int argc, const char* const* argv) {
     const double speedup =
         flat_query.mean() > 0.0 ? map_query.mean() / flat_query.mean() : 0.0;
     table.add_row({"queries", std::to_string(n), "map", format_double(map_build.mean(), 4),
-                   format_double(map_query.mean(), 4), "1.00x"});
+                   format_double(map_query.mean(), 4), "1.00x",
+                   spread_of(map_query, map_query.mean())});
     table.add_row({"queries", std::to_string(n), "flat",
                    format_double(flat_build.mean(), 4), format_double(flat_query.mean(), 4),
-                   format_double(speedup, 2) + "x"});
+                   format_double(speedup, 2) + "x",
+                   spread_of(flat_query, flat_query.mean())});
     names.push_back("queries/" + std::to_string(n) + "/map");
     names.push_back("queries/" + std::to_string(n) + "/flat");
     walls.push_back(map_query);
@@ -227,13 +275,16 @@ int run(int argc, const char* const* argv) {
     const double parallel_speedup =
         parallel_wall.mean() > 0.0 ? ref_wall.mean() / parallel_wall.mean() : 0.0;
     table.add_row({"validate", std::to_string(requests.size()), "reference", "-",
-                   format_double(ref_wall.mean(), 4), "1.00x"});
+                   format_double(ref_wall.mean(), 4), "1.00x",
+                   spread_of(ref_wall, ref_wall.mean())});
     table.add_row({"validate", std::to_string(requests.size()), "flat-serial", "-",
                    format_double(serial_wall.mean(), 4),
-                   format_double(serial_speedup, 2) + "x"});
+                   format_double(serial_speedup, 2) + "x",
+                   spread_of(serial_wall, serial_wall.mean())});
     table.add_row({"validate", std::to_string(requests.size()), "flat-parallel", "-",
                    format_double(parallel_wall.mean(), 4),
-                   format_double(parallel_speedup, 2) + "x"});
+                   format_double(parallel_speedup, 2) + "x",
+                   spread_of(parallel_wall, parallel_wall.mean())});
     names.push_back("validate/" + std::to_string(requests.size()) + "/reference");
     names.push_back("validate/" + std::to_string(requests.size()) + "/flat-serial");
     names.push_back("validate/" + std::to_string(requests.size()) + "/flat-parallel");
@@ -248,8 +299,69 @@ int run(int argc, const char* const* argv) {
               << format_double(parallel_speedup, 1) << "x)\n";
   }
 
+  // -------------------------------------------------------------------
+  // Part C: one probe, one reservation, repeated — buffered vs in place.
+  // -------------------------------------------------------------------
+  const std::size_t alt_reps = args.quick ? 5 : 7;
+  const std::size_t alt_ops_per_rep = args.quick ? 4000 : 20000;
+  for (const std::size_t resident : {std::size_t{64}, std::size_t{1000}, std::size_t{10000}}) {
+    Rng rng{args.config.base_seed + resident};
+    const double horizon = static_cast<double>(resident);
+    const auto interval = [&] {
+      const double lo = rng.uniform(0.0, horizon);
+      return AlternatingOp{lo, lo + rng.uniform(1.0, horizon / 4.0 + 1.0),
+                           rng.uniform(1e7, 1e8)};
+    };
+    TimelineProfile base;
+    for (std::size_t k = 0; k < resident / 2; ++k) {
+      const AlternatingOp iv = interval();
+      base.add(at(iv.lo), at(iv.hi), iv.bw);
+    }
+    base.ensure_merged();
+    // Each copy takes resident/4 reservations, so it ends with at most 1.5x
+    // the resident breakpoints it started with.
+    std::vector<AlternatingOp> ops(std::max<std::size_t>(16, resident / 4));
+    for (AlternatingOp& op : ops) op = interval();
+    const std::size_t copies = std::max<std::size_t>(1, alt_ops_per_rep / ops.size());
+
+    std::vector<double> buffered_s, in_place_s;
+    RunningStats buffered_wall, in_place_wall;
+    for (std::size_t rep = 0; rep < alt_reps; ++rep) {
+      double buffered_sum = 0.0, in_place_sum = 0.0;
+      std::vector<TimelineProfile> books(copies, base);
+      buffered_s.push_back(time_alternating(books, ops, false, buffered_sum));
+      books.assign(copies, base);
+      in_place_s.push_back(time_alternating(books, ops, true, in_place_sum));
+      if (buffered_sum != in_place_sum) {
+        std::cerr << "FATAL: buffered and in-place profiles diverge at " << resident
+                  << " resident breakpoints\n";
+        return 1;
+      }
+      buffered_wall.add(buffered_s.back());
+      in_place_wall.add(in_place_s.back());
+    }
+    const double buffered_med = median_of(buffered_s);
+    const double in_place_med = median_of(in_place_s);
+    const double speedup = in_place_med > 0.0 ? buffered_med / in_place_med : 0.0;
+    const std::string label = std::to_string(resident);
+    table.add_row({"alternate", label, "buffered", "-", format_double(buffered_med, 4),
+                   "1.00x", spread_of(buffered_wall, buffered_med)});
+    table.add_row({"alternate", label, "in-place", "-", format_double(in_place_med, 4),
+                   format_double(speedup, 2) + "x",
+                   spread_of(in_place_wall, in_place_med)});
+    names.push_back("alternate/" + label + "/buffered");
+    names.push_back("alternate/" + label + "/in-place");
+    walls.push_back(buffered_wall);
+    walls.push_back(in_place_wall);
+    std::cout << "probe+reserve, " << resident << " resident breakpoints, "
+              << copies * ops.size() << " ops: buffered " << format_double(buffered_med, 4)
+              << "s vs in-place " << format_double(in_place_med, 4) << "s  ("
+              << format_double(speedup, 1) << "x)\n";
+  }
+
   const std::string title =
-      "Flat timeline profiles — map vs flat queries, serial vs parallel validation";
+      "Flat timeline profiles — map vs flat queries, serial vs parallel validation, "
+      "probe+reserve buffered vs in place";
   bench::emit(title, table, args);
   if (!args.json_path.empty()) {
     bench::write_bench_json(args.json_path, "profile_speedup", title, table, names,

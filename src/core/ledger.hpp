@@ -2,18 +2,12 @@
 //
 // Two bandwidth-accounting books:
 //
-//  * NetworkLedger — the exact, time-aware book. Each port owns a flat
-//    TimelineProfile allocation profile; `fits` asks whether an extra `bw`
-//    over [t0, t1) would exceed the port capacity anywhere. Used by the
-//    rigid heuristics (whose reservations span arbitrary future windows),
-//    the BOOK-AHEAD feasibility probes, and the optimality solvers.
-//    Probe-heavy callers are served by a per-port ResidualIndex (segment
-//    tree over the profile's breakpoints, DESIGN.md §5g): once a port has
-//    absorbed enough fallback-scan work to pay for a build, `fits` answers
-//    from one O(log n) tree query instead of the O(window) profile scan.
-//    Decisions stay bit-identical: an unpatched index returns the exact
-//    peak, and a patched one is trusted only outside its FP guard band
-//    (inside it, the exact profile scan decides).
+//  * NetworkLedger — the exact, time-aware book. Each port is a PortBook
+//    (flat TimelineProfile + amortized ResidualIndex + GC policy, see
+//    core/port_book.hpp); `fits` asks whether an extra `bw` over [t0, t1)
+//    would exceed the port capacity anywhere. Used by the rigid heuristics
+//    (whose reservations span arbitrary future windows), the BOOK-AHEAD
+//    feasibility probes, and the optimality solvers.
 //
 //  * CounterLedger — the paper's O(1) online book (`ali`/`ale` in
 //    Algorithms 2 and 3): one running counter per port, increased on accept
@@ -29,12 +23,11 @@
 
 #pragma once
 
-#include <span>
 #include <vector>
 
 #include "core/ids.hpp"
 #include "core/network.hpp"
-#include "core/residual_index.hpp"
+#include "core/port_book.hpp"
 #include "core/timeline_profile.hpp"
 #include "obs/observer.hpp"
 #include "util/quantity.hpp"
@@ -57,11 +50,13 @@ class NetworkLedger {
                           Bandwidth bw) const;
 
   /// Per-port halves of `fits`, for rejection-reason classification. Pure
-  /// queries: they bump no observer counters.
-  [[nodiscard]] bool fits_ingress(IngressId i, TimePoint t0, TimePoint t1,
-                                  Bandwidth bw) const;
-  [[nodiscard]] bool fits_egress(EgressId e, TimePoint t0, TimePoint t1,
-                                 Bandwidth bw) const;
+  /// scans: no index upkeep, no observer counters.
+  [[nodiscard]] bool fits_ingress(IngressId i, TimePoint t0, TimePoint t1, Bandwidth bw) const {
+    return ingress_.at(i.value).fits_by_scan(t0, t1, bw);
+  }
+  [[nodiscard]] bool fits_egress(EgressId e, TimePoint t0, TimePoint t1, Bandwidth bw) const {
+    return egress_.at(e.value).fits_by_scan(t0, t1, bw);
+  }
 
   /// Commits `bw` on (i, e) over [t0, t1). Does not re-check `fits`.
   void reserve(IngressId i, EgressId e, TimePoint t0, TimePoint t1, Bandwidth bw);
@@ -74,74 +69,40 @@ class NetworkLedger {
                                    TimePoint t1) const;
 
   [[nodiscard]] const TimelineProfile& ingress_profile(IngressId i) const {
-    return ingress_.at(i.value);
+    return ingress_.at(i.value).profile();
   }
   [[nodiscard]] const TimelineProfile& egress_profile(EgressId e) const {
-    return egress_.at(e.value);
+    return egress_.at(e.value).profile();
   }
-  [[nodiscard]] const Network& network() const { return *network_; }
 
   /// Mirrors fits/reserve/release into the observer's ledger counters
   /// (kLedgerFitsChecks, ...). Null detaches; the disabled path is one
   /// branch per call.
   void attach_observer(obs::Observer* observer) { observer_ = observer; }
 
-  /// Steady-state churn GC (ISSUE 7): moves the retirement watermark forward
+  /// Steady-state churn GC: moves the retirement watermark forward
   /// (monotonic max) and arms the release path to drive per-port breakpoint
-  /// compaction. Safe-horizon contract: the caller guarantees that no future
-  /// reserve/release touches an instant strictly before `horizon` — i.e.
-  /// horizon <= min(start of every still-live reservation) and <= now. Under
-  /// that contract every decision the ledger makes after compaction is
-  /// bit-identical to the uncompacted ledger's (TimelineProfile::
+  /// compaction. The caller guarantees no future reserve/release touches an
+  /// instant before `horizon` (<= now and <= every live reservation start),
+  /// which keeps every later decision bit-identical (TimelineProfile::
   /// retire_before). Returns the breakpoints retired by the pass this call
   /// ran, 0 when release-debt batching deferred it.
   std::size_t advance_horizon(TimePoint horizon);
 
   /// Runs the retirement pass now, regardless of accumulated release debt.
-  /// Per-port policy unchanged: a port compacts only when the retirable
-  /// prefix is both >= kMinRetireBatch and at least half its resident
-  /// breakpoints, so fold cost stays O(1) amortized per retired breakpoint.
+  /// Each port applies PortBook::collect's amortization policy.
   std::size_t collect_retired();
-
-  /// Last watermark handed to advance_horizon (zero before the GC is armed).
-  [[nodiscard]] TimePoint gc_horizon() const { return gc_horizon_; }
 
   /// Total resident (merged) breakpoints across every port profile — the
   /// figure the churn bench asserts stays O(live requests) under GC.
   [[nodiscard]] std::size_t resident_breakpoints() const;
 
  private:
-  /// Per-port probe accelerator (ISSUE 6 tentpole). The index starts stale
-  /// (zero cost for reserve-only workloads); every fallback scan in `fits`
-  /// charges its window width as debt, and the index is (re)built once the
-  /// debt matches a build's O(n) cost — keeping probes amortized O(log n)
-  /// without ever losing to the flat scan by more than 2x.
-  struct PortProbe {
-    ResidualIndex index;
-    double scan_debt{0.0};
-  };
-
-  /// One port's half of `fits`: index probe when trustworthy, exact profile
-  /// scan (plus debt accounting / amortized rebuild) otherwise. The decision
-  /// is bit-identical to `approx_le(Bandwidth(peak) + add, capacity)`.
-  [[nodiscard]] bool port_fits(const TimelineProfile& profile, PortProbe& probe,
-                               TimePoint t0, TimePoint t1, Bandwidth add,
-                               Bandwidth capacity) const;
-
-  /// One port's share of `collect_retired`: folds the dead prefix when the
-  /// amortization policy says it pays, and invalidates the port's residual
-  /// index (its snapshot no longer matches the compacted arrays).
-  std::size_t maybe_retire_port(TimelineProfile& profile, PortProbe& probe);
-
-  const Network* network_;
-  std::vector<TimelineProfile> ingress_;
-  std::vector<TimelineProfile> egress_;
-  mutable std::vector<PortProbe> ingress_probe_;
-  mutable std::vector<PortProbe> egress_probe_;
+  std::vector<PortBook> ingress_;
+  std::vector<PortBook> egress_;
   obs::Observer* observer_{nullptr};
   // GC state: watermark, whether advance_horizon armed the release path, and
-  // releases accumulated since the last retirement pass (scan-debt-style
-  // batching — the pass itself is O(ports · log n) even when nothing folds).
+  // releases since the last pass (a pass is O(ports · log n) even idle).
   TimePoint gc_horizon_{};
   bool gc_armed_{false};
   std::size_t gc_release_debt_{0};
@@ -149,15 +110,12 @@ class NetworkLedger {
 
 /// The paper's online counters: ali(i), ale(e).
 ///
-/// Unlike NetworkLedger, this book is uninstrumented on its hot paths: the
-/// methods are O(1) and sit inside slice-sweep loops that call them millions
-/// of times, where even a disabled-observer branch is measurable in
-/// unoptimized builds. Engines narrate admissions via the note_* helpers.
-/// The one exception is the anomaly hook: `reclaim` driving a counter below
-/// zero by more than the admission tolerance is a mismatched
-/// allocate/reclaim pair, asserted in debug builds and counted
-/// (kLedgerDriftClamped) when an observer is attached — that branch is only
-/// ever reached on the clamp path, so healthy runs pay nothing.
+/// Uninstrumented on its hot paths: the O(1) methods sit inside slice-sweep
+/// loops that call them millions of times, so engines narrate admissions via
+/// the note_* helpers instead. The one exception is the clamp path: `reclaim`
+/// driving a counter below zero by more than the admission tolerance is a
+/// mismatched allocate/reclaim pair, asserted in debug builds and counted
+/// (kLedgerDriftClamped) when an observer is attached.
 class CounterLedger {
  public:
   explicit CounterLedger(const Network& network);

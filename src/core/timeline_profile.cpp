@@ -12,6 +12,28 @@ void TimelineProfile::add(TimePoint t0, TimePoint t1, double delta) {
   pending_.push_back(Event{t1.to_seconds(), -delta});
 }
 
+// gridbw:hot
+void TimelineProfile::add_in_place(TimePoint t0, TimePoint t1, double delta) {
+  if (!(t0 < t1) || delta == 0.0) return;
+  merge_pending();
+  // The same per-instant left fold merge_pending applies to these two
+  // events, then the same prefix fold from the first touched index on.
+  const std::size_t first = accumulate_at(t0.to_seconds(), delta);
+  (void)accumulate_at(t1.to_seconds(), -delta);
+  rebuild_caches(first);
+}
+
+std::size_t TimelineProfile::accumulate_at(double t, double delta) {
+  const std::size_t k = lower_index(t);
+  if (k < times_.size() && times_[k] == t) {
+    deltas_[k] += delta;
+  } else {
+    times_.insert(times_.begin() + static_cast<std::ptrdiff_t>(k), t);
+    deltas_.insert(deltas_.begin() + static_cast<std::ptrdiff_t>(k), delta);
+  }
+  return k;
+}
+
 void TimelineProfile::reserve(std::size_t interval_count) {
   pending_.reserve(pending_.size() + 2 * interval_count);
 }
@@ -36,23 +58,14 @@ void TimelineProfile::merge_pending() const {
   std::size_t j = 0;  // over pending_
   while (i < times_.size() || j < pending_.size()) {
     const bool take_existing =
-        j == pending_.size() ||
-        (i < times_.size() && times_[i] <= pending_[j].time);
-    double time, delta;
-    if (take_existing) {
-      time = times_[i];
-      delta = deltas_[i];
-      ++i;
+        j == pending_.size() || (i < times_.size() && times_[i] <= pending_[j].time);
+    const Event next = take_existing ? Event{times_[i], deltas_[i]} : pending_[j];
+    ++(take_existing ? i : j);
+    if (!merged_times.empty() && merged_times.back() == next.time) {
+      merged_deltas.back() += next.delta;
     } else {
-      time = pending_[j].time;
-      delta = pending_[j].delta;
-      ++j;
-    }
-    if (!merged_times.empty() && merged_times.back() == time) {
-      merged_deltas.back() += delta;
-    } else {
-      merged_times.push_back(time);
-      merged_deltas.push_back(delta);
+      merged_times.push_back(next.time);
+      merged_deltas.push_back(next.delta);
     }
   }
 
@@ -62,12 +75,14 @@ void TimelineProfile::merge_pending() const {
   rebuild_caches();
 }
 
-void TimelineProfile::rebuild_caches() const {
+void TimelineProfile::rebuild_caches(std::size_t from) const {
   values_.resize(times_.size());
   prefix_max_.resize(times_.size());
-  double acc = 0.0;
-  double best = -std::numeric_limits<double>::infinity();
-  for (std::size_t k = 0; k < times_.size(); ++k) {
+  // Entries before `from` are untouched, so seeding from them continues the
+  // exact left-to-right fold a full rebuild would run.
+  double acc = from == 0 ? 0.0 : values_[from - 1];
+  double best = from == 0 ? -std::numeric_limits<double>::infinity() : prefix_max_[from - 1];
+  for (std::size_t k = from; k < times_.size(); ++k) {
     acc += deltas_[k];
     values_[k] = acc;
     best = std::max(best, acc);
@@ -78,6 +93,11 @@ void TimelineProfile::rebuild_caches() const {
 std::size_t TimelineProfile::upper_index(double t) const {
   return static_cast<std::size_t>(
       std::upper_bound(times_.begin(), times_.end(), t) - times_.begin());
+}
+
+std::size_t TimelineProfile::lower_index(double t) const {
+  return static_cast<std::size_t>(
+      std::lower_bound(times_.begin(), times_.end(), t) - times_.begin());
 }
 
 // gridbw:hot
@@ -95,9 +115,7 @@ double TimelineProfile::max_over(TimePoint t0, TimePoint t1) const {
   const double hi = t1.to_seconds();
   // Breakpoints strictly inside (lo, hi): indices [first, last).
   const std::size_t first = upper_index(lo);
-  const std::size_t last =
-      static_cast<std::size_t>(std::lower_bound(times_.begin(), times_.end(), hi) -
-                               times_.begin());
+  const std::size_t last = lower_index(hi);
   double best = 0.0;
   if (first < last) {
     if (first == 0) {
@@ -182,9 +200,7 @@ void TimelineProfile::compact(double tolerance) {
 
 std::size_t TimelineProfile::retirable_before(TimePoint horizon) const {
   merge_pending();
-  const std::size_t cut = static_cast<std::size_t>(
-      std::lower_bound(times_.begin(), times_.end(), horizon.to_seconds()) -
-      times_.begin());
+  const std::size_t cut = lower_index(horizon.to_seconds());
   // Folding always keeps one standing breakpoint, so a prefix of one (or
   // zero) retires nothing.
   return cut > 1 ? cut - 1 : 0;
@@ -192,9 +208,7 @@ std::size_t TimelineProfile::retirable_before(TimePoint horizon) const {
 
 std::size_t TimelineProfile::retire_before(TimePoint horizon) {
   merge_pending();
-  const std::size_t cut = static_cast<std::size_t>(
-      std::lower_bound(times_.begin(), times_.end(), horizon.to_seconds()) -
-      times_.begin());
+  const std::size_t cut = lower_index(horizon.to_seconds());
   if (cut <= 1) return 0;
   // The standing breakpoint keeps the last retired instant and carries the
   // prefix sum accumulated there. rebuild_caches() then re-folds starting

@@ -5,11 +5,17 @@
 // vectors (SoA) with lazily rebuilt prefix-sum and prefix-max caches instead
 // of a std::map of deltas.
 //
-//  * `add` is O(1): it appends to a pending buffer. The buffer is merged
-//    into the sorted arrays on the first query after a batch of adds
-//    (stable sort of the pending events + one linear merge), so bulk
-//    construction — the validator, dataplane replay, BOOK-AHEAD probes —
-//    costs O(n log n) once instead of O(n log n) map-node allocations.
+//  * Two write entry points, one per call pattern:
+//    - `add` is O(1): it appends to a pending buffer that the next query
+//      merges (stable sort + one linear merge + a full cache rebuild), so
+//      bulk builders (validator, dataplane replay, Gantt renderer) pay
+//      O(n log n) once.
+//    - `add_in_place` edits the merged arrays now: a binary search per
+//      endpoint, `+=` onto an existing instant or one inserted breakpoint,
+//      and the caches repaired from the first touched index on. O(log n +
+//      tail), no sort and no fresh vectors: the probe-then-commit path of
+//      PortBook, where `add` would force a whole merge on the next probe.
+//    Both yield the same arrays bit for bit and may be mixed on one profile.
 //  * `value_at` is O(log n): binary search into the prefix-sum cache.
 //  * `global_max` is O(1) off the prefix-max cache.
 //  * `max_over` / `integral` are O(log n + w) where w is the number of
@@ -17,17 +23,18 @@
 //    chasing); left-anchored max windows resolve O(log n) off the cache.
 //
 // Numerical contract: every query returns the bit-identical double that
-// StepFunction would return for the same sequence of `add` calls. Deltas
-// landing on the same instant accumulate in call order (exactly like the
-// map's `operator+=`), prefix sums run left-to-right over the merged
-// deltas (exactly like the map scans), and `integral` accumulates the same
+// StepFunction would return for the same sequence of `add`/`add_in_place`
+// calls. Deltas landing on the same instant accumulate in call order
+// (exactly like the map's `operator+=`), prefix sums run left-to-right over
+// the merged deltas (exactly like the map scans), and `integral` sums the same
 // per-segment products in the same order. tests/timeline_profile_test.cpp
-// differential-tests this with EXPECT_EQ on raw doubles.
+// and tests/profile_inplace_test.cpp differential-test this with EXPECT_EQ
+// on raw doubles.
 //
 // Thread safety: queries may trigger the lazy merge and therefore mutate
 // internal caches even though they are declared `const`. A profile is safe
 // to share across threads for read-only queries only once `ensure_merged()`
-// (alias: `compile()`) has run and no further `add`/`compact` happens; two
+// (alias: `compile()`) has run and no further write happens; two
 // threads racing the first query on an unmerged profile is a data race that
 // ThreadSanitizer reports (tests/tsan_stress_test.cpp exercises the merged
 // path). The parallel validator materializes every port profile in a
@@ -50,12 +57,16 @@ class TimelineProfile {
   /// O(1): buffered until the next query.
   void add(TimePoint t0, TimePoint t1, double delta);
 
+  /// `add` applied to the merged arrays now (see the header comment), for
+  /// one reservation between two queries: same no-op rule, same arrays.
+  void add_in_place(TimePoint t0, TimePoint t1, double delta);
+
   /// Pre-sizes the pending buffer for `interval_count` upcoming `add`s.
   void reserve(std::size_t interval_count);
 
   /// Merges the pending buffer into the sorted arrays now. Queries do this
   /// implicitly; call it explicitly before concurrent read-only access —
-  /// after this returns (and until the next `add`/`compact`), every query is
+  /// after this returns (and until the next write), every query is
   /// a pure read and any number of threads may query concurrently.
   void ensure_merged() const;
 
@@ -81,11 +92,9 @@ class TimelineProfile {
   /// Times at which the function changes value, in increasing order.
   [[nodiscard]] std::vector<TimePoint> breakpoints() const;
 
-  /// Zero-copy views of the merged SoA arrays: breakpoint instants and the
-  /// prefix-sum value holding on [times[k], times[k+1]). Merges pending
-  /// first; the views are invalidated by the next `add`/`compact`. These
-  /// exist so ResidualIndex can snapshot the arrays without a per-element
-  /// copy through TimePoint wrappers.
+  /// Zero-copy views of the merged SoA arrays (for ResidualIndex snapshots):
+  /// breakpoint instants and the prefix-sum value holding on
+  /// [times[k], times[k+1]). Merges pending first; invalidated by any write.
   [[nodiscard]] std::span<const double> merged_times_view() const;
   [[nodiscard]] std::span<const double> merged_values_view() const;
 
@@ -100,21 +109,14 @@ class TimelineProfile {
   /// and the caches are rebuilt.
   void compact(double tolerance = 1e-9);
 
-  /// Retired-breakpoint garbage collector: folds every breakpoint strictly
-  /// before `horizon` into one standing-load breakpoint (kept at the last
-  /// retired instant, carrying the accumulated prefix value as its delta).
-  /// Returns the number of breakpoints retired.
-  ///
-  /// Bit-identity contract: because `values_` is a left-to-right prefix sum,
-  /// re-folding from the standing delta reproduces every retained prefix sum
-  /// as the exact same double — so `value_at` / `max_over` / `integral` are
-  /// bit-identical to the uncompacted profile for every window with
-  /// t >= horizon, and stay so for any later `add` whose events all land at
-  /// or after `horizon`. Callers must not add events strictly before a
-  /// horizon they have retired (the churn layers enforce this by capping the
-  /// watermark at the earliest live reservation start). Whole-axis queries
-  /// (`global_max`, windows reaching before `horizon`) see the compacted
-  /// standing load instead of the retired history.
+  /// Retired-breakpoint GC: folds every breakpoint strictly before `horizon`
+  /// into one standing breakpoint at the last retired instant, carrying the
+  /// prefix value there as its delta. Returns the number retired. Re-folding
+  /// from that exact double keeps `value_at` / `max_over` / `integral`
+  /// bit-identical for every window with t >= horizon, and for any later
+  /// add landing at or after `horizon` — callers must never add before a
+  /// retired horizon. Whole-axis queries (`global_max`, windows reaching
+  /// before `horizon`) see the standing load, not the retired history.
   std::size_t retire_before(TimePoint horizon);
 
   /// Number of breakpoints `retire_before(horizon)` would retire, without
@@ -128,10 +130,16 @@ class TimelineProfile {
   };
 
   void merge_pending() const;
-  void rebuild_caches() const;
+  /// Recomputes values_/prefix_max_ from index `from` to the end.
+  void rebuild_caches(std::size_t from = 0) const;
+  /// Folds `delta` onto the breakpoint at `t`, inserting it if absent;
+  /// returns its index. Leaves the caches stale from that index on.
+  std::size_t accumulate_at(double t, double delta);
 
   /// First index k with times_[k] > t, i.e. t's value is values_[k-1].
   [[nodiscard]] std::size_t upper_index(double t) const;
+  /// First index k with times_[k] >= t.
+  [[nodiscard]] std::size_t lower_index(double t) const;
 
   // Unmerged add() events, in call order.
   mutable std::vector<Event> pending_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <queue>
@@ -391,7 +390,7 @@ struct CumulatedArena {
   std::vector<std::uint32_t> eport;
   std::vector<double> held;      // admitted bandwidth, 0 = not admitted
   // Indexed by port: raw-double CounterLedger with the approx_le threshold
-  // precomputed (cap + 1.0 + 1e-9*|cap|, the exact approx_le expression).
+  // precomputed (approx_le_limit of the capacity).
   std::vector<double> load_in, load_out;
   std::vector<double> limit_in, limit_out;
   // Active-set-order gather buffers for the vectorized cost refresh.
@@ -445,12 +444,10 @@ ScheduleResult sweep_cumulated(const Network& network,
   a.limit_in.resize(network.ingress_count());
   a.limit_out.resize(network.egress_count());
   for (std::size_t p = 0; p < network.ingress_count(); ++p) {
-    const double cap = network.ingress_capacity(IngressId{p}).to_bytes_per_second();
-    a.limit_in[p] = cap + 1.0 + 1e-9 * std::fabs(cap);
+    a.limit_in[p] = approx_le_limit(network.ingress_capacity(IngressId{p}));
   }
   for (std::size_t p = 0; p < network.egress_count(); ++p) {
-    const double cap = network.egress_capacity(EgressId{p}).to_bytes_per_second();
-    a.limit_out[p] = cap + 1.0 + 1e-9 * std::fabs(cap);
+    a.limit_out[p] = approx_le_limit(network.egress_capacity(EgressId{p}));
   }
   a.g_rel.reserve(n);
   a.g_win.reserve(n);

@@ -1,6 +1,7 @@
 #include "service/admission_service.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -8,10 +9,11 @@
 #include <functional>
 #include <mutex>
 #include <queue>
+#include <stdexcept>
 #include <thread>
 #include <utility>
 
-#include "core/timeline_profile.hpp"
+#include "core/port_book.hpp"
 #include "obs/counters.hpp"
 #include "obs/event.hpp"
 
@@ -55,25 +57,27 @@ struct StartHeap {
 
 struct AdmissionService::Impl {
   // One shard per port. `applied` counts executed events on this port; a
-  // worker may touch anything else in the cell only while holding `mu` AND
-  // having observed `applied` equal to its event's per-port sequence number
-  // — that pair of conditions is what serializes the whole execution into
-  // the global event order.
+  // worker touches the rest of the cell only while holding `mu` AND having
+  // seen `applied` equal its event's per-port sequence number.
   struct PortCell {
+    // GRIDBW-ALLOW(guarded-by): construction, before any worker sees the cell
+    explicit PortCell(Bandwidth capacity) : book{capacity} {}
+
     std::mutex mu;
     std::condition_variable cv;
     std::uint64_t applied{0};  // gridbw:guarded_by(mu)
     std::uint64_t next_seq{0};  // drain-time sequencing cursor (no lock needed)
-    TimelineProfile profile;  // gridbw:guarded_by(mu)
-    double capacity{0.0};  // immutable after construction
+    PortBook book;  // gridbw:guarded_by(mu)
     StartHeap starts;  // gridbw:guarded_by(mu)
     std::size_t departures_since_gc{0};  // gridbw:guarded_by(mu)
+    std::size_t compactions{0};  // gridbw:guarded_by(mu)
+    std::size_t retired{0};  // gridbw:guarded_by(mu)
   };
 
   // One arrival or departure, fully sequenced before execution starts. The
   // departure of a request that ends up rejected still occupies its slots in
   // both ports' sequences (as a no-op), so the sequence numbers — and with
-  // them the execution order — never depend on admission outcomes.
+  // them the execution order — never depend on load-dependent outcomes.
   struct Event {
     double t{0.0};
     std::uint32_t req{0};
@@ -101,24 +105,15 @@ struct AdmissionService::Impl {
   double last_event_t{0.0};
   std::size_t live{0};
 
-  // Workers reach the GC tallies from collect_cell with a port-cell `mu`
-  // already held, never the other way around.
-  // gridbw:lock-order(mu < gc_mu)
-  std::mutex gc_mu;  // serializes GC counter accumulation across workers
-  std::size_t compactions{0};  // gridbw:guarded_by(gc_mu)
-  std::size_t retired{0};  // gridbw:guarded_by(gc_mu)
-
   explicit Impl(const Network& net, ServiceOptions opts)
       : network(&net), options(std::move(opts)) {
     if (options.shards == 0) options.shards = 1;
     if (options.gc_batch == 0) options.gc_batch = 1;
-    cells.resize(net.ingress_count() + net.egress_count());
     for (std::size_t p = 0; p < net.ingress_count(); ++p) {
-      cells[p].capacity = net.ingress_capacity(IngressId{p}).to_bytes_per_second();
+      cells.emplace_back(net.ingress_capacity(IngressId{p}));
     }
     for (std::size_t p = 0; p < net.egress_count(); ++p) {
-      cells[net.ingress_count() + p].capacity =
-          net.egress_capacity(EgressId{p}).to_bytes_per_second();
+      cells.emplace_back(net.egress_capacity(EgressId{p}));
     }
   }
 
@@ -162,13 +157,17 @@ struct AdmissionService::Impl {
       ev.t = r.release.to_seconds();
       ev.departure = false;
       events.push_back(ev);
-      if (r.deadline > r.release) {
+      // Window and rate feasibility are static: decide them here, so only
+      // requests that may be admitted get a departure event.
+      if (!(r.deadline > r.release)) {
+        reason[k] = static_cast<std::uint8_t>(obs::RejectReason::kDegenerateWindow);
+      } else if (!approx_le(r.min_rate(), r.max_rate)) {
+        reason[k] = static_cast<std::uint8_t>(obs::RejectReason::kInfeasibleRate);
+      } else {
         rate[k] = r.min_rate().to_bytes_per_second();
         ev.t = r.deadline.to_seconds();
         ev.departure = true;
         events.push_back(ev);
-      } else {
-        reason[k] = static_cast<std::uint8_t>(obs::RejectReason::kDegenerateWindow);
       }
     }
     // Global deterministic order: time, then departures before arrivals at
@@ -193,32 +192,24 @@ struct AdmissionService::Impl {
   // gridbw:requires(mu)
   void execute_arrival(const Event& ev) {
     const Request& r = requests[ev.req];
-    if (reason[ev.req] !=
-        static_cast<std::uint8_t>(obs::RejectReason::kNone)) {
-      return;  // degenerate window, rejected at sequencing time
-    }
-    if (!approx_le(r.min_rate(), r.max_rate)) {
-      reason[ev.req] = static_cast<std::uint8_t>(obs::RejectReason::kInfeasibleRate);
-      return;
+    if (reason[ev.req] != static_cast<std::uint8_t>(obs::RejectReason::kNone)) {
+      return;  // rejected at sequencing time
     }
     PortCell& in = cells[cell_of_ingress(r.ingress)];
     PortCell& eg = cells[cell_of_egress(r.egress)];
-    const double bw = rate[ev.req];
-    // Decision threshold spelled exactly like NetworkLedger::port_fits so
-    // the service and the batch engines agree on borderline loads.
-    const bool in_fits =
-        approx_le(Bandwidth::bytes_per_second(in.profile.max_over(r.release, r.deadline) + bw),
-                  Bandwidth::bytes_per_second(in.capacity));
-    const bool eg_fits =
-        approx_le(Bandwidth::bytes_per_second(eg.profile.max_over(r.release, r.deadline) + bw),
-                  Bandwidth::bytes_per_second(eg.capacity));
+    const Bandwidth bw = Bandwidth::bytes_per_second(rate[ev.req]);
+    // Both ports are probed (no short-circuit) to classify the rejection.
+    // By scan, not index: nearly every admission adds new endpoints, which
+    // leaves a port's index stale after each commit, so rebuilds never pay.
+    const bool in_fits = in.book.fits_by_scan(r.release, r.deadline, bw);
+    const bool eg_fits = eg.book.fits_by_scan(r.release, r.deadline, bw);
     if (!in_fits || !eg_fits) {
       reason[ev.req] =
           static_cast<std::uint8_t>(obs::classify_saturation(in_fits, eg_fits));
       return;
     }
-    in.profile.add(r.release, r.deadline, bw);
-    eg.profile.add(r.release, r.deadline, bw);
+    in.book.commit(r.release, r.deadline, bw);
+    eg.book.commit(r.release, r.deadline, bw);
     in.starts.admit(r.release.to_seconds());
     eg.starts.admit(r.release.to_seconds());
     admitted[ev.req] = 1;
@@ -229,10 +220,10 @@ struct AdmissionService::Impl {
   void execute_departure(const Event& ev) {
     if (admitted[ev.req] == 0) return;  // rejected: sequence no-op
     const Request& r = requests[ev.req];
-    const double bw = rate[ev.req];
+    const Bandwidth bw = Bandwidth::bytes_per_second(rate[ev.req]);
     for (PortCell* cell : {&cells[cell_of_ingress(r.ingress)],
                            &cells[cell_of_egress(r.egress)]}) {
-      cell->profile.add(r.release, r.deadline, -bw);
+      cell->book.release(r.release, r.deadline, bw);
       cell->starts.expire(r.release.to_seconds());
       if (options.gc && ++cell->departures_since_gc >= options.gc_batch) {
         cell->departures_since_gc = 0;
@@ -241,56 +232,34 @@ struct AdmissionService::Impl {
     }
   }
 
-  // Retire the dead breakpoint prefix of one port, guarded by the safe
-  // watermark: never past the earliest live reservation start (future
+  // Offer one port's dead breakpoint prefix to PortBook::collect under the
+  // safe watermark: never past the earliest live reservation start (future
   // departures re-touch their start instant) and never past the current
-  // event time (future arrivals release at or after it). Same amortization
-  // policy as NetworkLedger::maybe_retire_port: fold only when at least a
-  // batch of breakpoints retires AND they are at least half the residents,
-  // so the erase/shift cost stays O(1) amortized per retired breakpoint.
+  // event time (future arrivals release at or after it).
   // gridbw:requires(mu)
   // GRIDBW-ALLOW(hot-propagation): amortized GC tail, off the per-event path
   void collect_cell(PortCell& cell, double now) {
-    constexpr std::size_t kMinRetireBatch = 64;
     double horizon = now;
     if (cell.starts.any_live()) {
       horizon = std::min(horizon, cell.starts.min_live_start());
     }
-    const std::size_t retirable =
-        cell.profile.retirable_before(TimePoint::at_seconds(horizon));
-    if (retirable < kMinRetireBatch || retirable * 2 < cell.profile.breakpoint_count()) {
-      return;
-    }
-    const std::size_t n = cell.profile.retire_before(TimePoint::at_seconds(horizon));
+    const std::size_t n = cell.book.collect(TimePoint::at_seconds(horizon), options.observer);
     if (n == 0) return;
-    {
-      std::scoped_lock lk{gc_mu};
-      compactions += 1;
-      retired += n;
-    }
-    if (options.observer != nullptr) {
-      options.observer->count(obs::Counter::kProfileCompactions);
-      options.observer->count(obs::Counter::kBreakpointsRetired, n);
-    }
+    cell.compactions += 1;
+    cell.retired += n;
   }
 
-  // Worker loop: execute `mine` (this worker's slice of the global event
-  // order) one event at a time. For each event, lock the lower-id port and
-  // wait until it has applied exactly the events sequenced before ours,
-  // then do the same on the higher-id port. Deadlock-free: a worker blocked
-  // on a port is waiting for an event strictly earlier in the global order,
-  // and the earliest unexecuted event's waits are always satisfiable, so
-  // every blocking chain terminates. With both counts matched the two-port
-  // state equals the serial replay's, which is what makes decisions
-  // independent of shard count and scheduling.
+  // Worker loop over `mine`, this worker's slice of the global event order:
+  // lock the lower-id port and wait until it has applied exactly the events
+  // sequenced before ours, then the same on the higher-id port. A blocked
+  // worker always waits on a strictly earlier event, so every blocking
+  // chain ends; with both counts matched, the state is the serial replay's.
   //
   // gridbw:lock-order(lo.mu < hi.mu)
   void run_worker(const std::vector<Event>& events, const std::vector<std::uint32_t>& mine) {
     const bool timed = static_cast<bool>(options.clock);
     for (const std::uint32_t idx : mine) {
       const Event& ev = events[idx];
-      // Caller-injected latency clock: decisions never read it, so
-      // determinism is unaffected (see the header contract).
       // GRIDBW-ALLOW(wall-clock): injected latency clock, never drives decisions
       const double t0 = timed && !ev.departure ? options.clock() : 0.0;
       PortCell& lo = cells[ev.cell_lo];
@@ -327,7 +296,7 @@ struct AdmissionService::Impl {
       slices[home_worker(events[k].req) % workers].push_back(k);
     }
     if (workers == 1) {
-      if (!slices.empty()) run_worker(events, slices[0]);
+      run_worker(events, slices[0]);
     } else {
       std::vector<std::thread> pool;
       std::vector<std::exception_ptr> failures(workers);
@@ -382,22 +351,20 @@ struct AdmissionService::Impl {
       report.decision_fingerprint =
           fnv_mix(report.decision_fingerprint,
                   fnv_mix(kFnvOffset, r.id) * 2 + admitted[ev.req]);
-      // A request whose egress port lives outside its executing worker's
-      // shard set crossed a shard boundary — a deterministic, static
-      // property of the port pair (counted once per arrival).
+      // An egress port outside the executing worker's shard set is a shard
+      // handoff: a static property of the port pair, counted per arrival.
       if ((egress_base + r.egress.value) % options.shards != home_worker(ev.req) &&
           observer != nullptr) {
         observer->count(obs::Counter::kShardHandoffs);
       }
     }
-    {
-      std::scoped_lock lk{gc_mu};
-      report.compactions = compactions;
-      report.breakpoints_retired = retired;
-    }
     for (const PortCell& cell : cells) {
       // GRIDBW-ALLOW(guarded-by): workers joined — single-threaded post-pass
-      report.resident_breakpoints += cell.profile.breakpoint_count();
+      report.resident_breakpoints += cell.book.profile().breakpoint_count();
+      // GRIDBW-ALLOW(guarded-by): same post-pass; the tallies are cumulative
+      report.compactions += cell.compactions;
+      // GRIDBW-ALLOW(guarded-by): same post-pass
+      report.breakpoints_retired += cell.retired;
     }
     if (options.clock) {
       report.latency.reserve(report.submitted);
@@ -415,9 +382,9 @@ struct AdmissionService::Impl {
     const TimePoint t = TimePoint::at_seconds(last_event_t);
     for (const PortCell& cell : cells) {
       // GRIDBW-ALLOW(guarded-by): snapshot is documented single-threaded
-      snap.resident_breakpoints += cell.profile.breakpoint_count();
+      snap.resident_breakpoints += cell.book.profile().breakpoint_count();
       // GRIDBW-ALLOW(guarded-by): snapshot is documented single-threaded
-      snap.peak_standing_load = std::max(snap.peak_standing_load, cell.profile.value_at(t));
+      snap.peak_standing_load = std::max(snap.peak_standing_load, cell.book.profile().value_at(t));
     }
     return snap;
   }
@@ -429,6 +396,17 @@ AdmissionService::AdmissionService(const Network& network, ServiceOptions option
 AdmissionService::~AdmissionService() = default;
 
 void AdmissionService::submit(const Request& request) {
+  // Refused rather than decided: an out-of-network id would index past the
+  // cells, and a non-finite or negative figure would poison or undo loads.
+  const Network& net = *impl_->network;
+  const double volume = request.volume.to_bytes();
+  if (request.ingress.value >= net.ingress_count() ||
+      request.egress.value >= net.egress_count() || !std::isfinite(volume) || volume < 0.0 ||
+      !std::isfinite(request.release.to_seconds()) ||
+      !std::isfinite(request.deadline.to_seconds())) {
+    throw std::invalid_argument{"AdmissionService::submit: ill-formed request " +
+                                request.describe()};
+  }
   std::scoped_lock lk{impl_->ingest_mu};
   impl_->inbox.push_back(request);
 }

@@ -1,34 +1,25 @@
 // gridbw/service/admission_service.hpp
 //
-// Steady-state churn engine (ISSUE 7 tentpole, ROADMAP direction #1): the
-// long-running counterpart to the closed-batch schedulers. Requests are
-// ingested into a queue, sequenced into a single deterministic event order
-// (arrivals at release, departures at deadline), and executed by worker
-// threads over per-port ledger shards.
+// Steady-state churn engine (ROADMAP direction #1): the long-running
+// counterpart to the closed-batch schedulers. Requests are ingested into a
+// queue, sequenced into one deterministic event order (arrivals at release,
+// departures at deadline), and executed by worker threads over per-port
+// shards (DESIGN.md §5h):
 //
-// Architecture (DESIGN.md §5h):
-//
-//  * One shard per port (ingress and egress ports share a global id space).
-//    A shard owns its port's TimelineProfile, a mutex + condition variable,
-//    an applied-event counter, and the GC bookkeeping (live-reservation
-//    start heaps, departures since the last retirement scan).
-//  * drain() seals the ingest queue, sorts the batch's events by
-//    (time, departure-before-arrival, request id), and assigns every event a
-//    per-port sequence number on its two ports. Workers claim the requests
-//    whose ingress port maps to their shard set (ingress id mod workers) and
-//    execute their subsequence in order.
-//  * An event executes only when BOTH its ports have applied exactly the
-//    events sequenced before it: the worker locks the lower-id port shard,
-//    waits for its count, then locks the higher-id shard and waits for its
-//    count (two-shard lock ordering by port id). Decisions therefore see
-//    exactly the serial-order state, so the outcome is byte-identical to a
-//    serial replay — independent of worker count and thread scheduling.
-//  * Departures release the reservation's exact interval and drive the
-//    breakpoint GC: every `gc_batch` departures a shard computes its safe
-//    watermark (min of the current event time and its earliest live
-//    reservation start) and retires the dead prefix via
-//    TimelineProfile::retire_before once the amortization policy says the
-//    fold pays. GC on/off decisions are bit-identical (see retire_before's
+//  * One shard per port (ingress and egress ports share one id space): the
+//    port's PortBook (core/port_book.hpp), a mutex + condition variable, an
+//    applied-event counter, and the GC bookkeeping (live-start heap,
+//    departures since the last retirement scan).
+//  * drain() sorts the batch's events by (time, departure-before-arrival,
+//    request id) and gives each a sequence number on both its ports. Worker
+//    w executes the requests whose ingress id is w mod workers, in order.
+//  * An event runs only once BOTH its ports have applied exactly the events
+//    sequenced before it (lower-id shard locked and waited on first), so
+//    every decision sees the serial-order state: outcomes are byte-identical
+//    to a serial replay for any worker count and thread schedule.
+//  * Every `gc_batch` departures a shard offers PortBook::collect the safe
+//    watermark min(current event time, earliest live start on the port).
+//    Decisions are bit-identical with GC on or off (retire_before's
 //    contract); only resident breakpoint counts differ.
 //  * Traces are emitted in a single-threaded post-pass in event order, so
 //    same-seed runs produce byte-identical JSONL regardless of shard count.
@@ -58,8 +49,8 @@ struct ServiceOptions {
   /// congruent to its index (mod shards). 1 = serial execution. The
   /// admission decisions do not depend on this value.
   std::size_t shards{1};
-  /// Retired-breakpoint GC on departures. Off = profiles only grow (the
-  /// pre-ISSUE-7 behavior); decisions are bit-identical either way.
+  /// Retired-breakpoint GC on departures. Off = profiles only grow;
+  /// decisions are bit-identical either way.
   bool gc{true};
   /// Departures a shard absorbs between GC watermark scans.
   std::size_t gc_batch{64};
@@ -83,7 +74,7 @@ struct ServiceReport {
   /// Sum of resident (merged) breakpoints across all port shards after the
   /// batch — the figure the GC keeps O(live) instead of O(history).
   std::size_t resident_breakpoints{0};
-  /// GC activity over the batch.
+  /// GC activity since construction (cumulative across drains).
   std::size_t compactions{0};
   std::size_t breakpoints_retired{0};
   /// FNV-1a over (request id, admitted) in event order: two runs (any shard
@@ -121,6 +112,9 @@ class AdmissionService {
 
   /// Queues a request for the next drain(). Thread-safe; the batch's event
   /// order is independent of submission interleaving (ids break ties).
+  /// Throws std::invalid_argument when a port id lies outside the network or
+  /// release, deadline or volume is not finite, or the volume is negative.
+  /// A degenerate window or an infeasible rate is a rejection, not an error.
   void submit(const Request& request);
 
   /// Seals the ingest queue, executes every queued event across the shard

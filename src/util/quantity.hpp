@@ -227,15 +227,27 @@ class Bandwidth {
 // allocation filling a port to exactly its capacity is accepted.
 // ---------------------------------------------------------------------------
 
+/// The largest `a` that approx_le(a, b, abs_eps, rel_eps) accepts. Callers
+/// that test many loads against one fixed `b` hoist it out of the loop.
+[[nodiscard]] constexpr double approx_le_limit(double b, double abs_eps = 1e-6,
+                                               double rel_eps = 1e-9) {
+  return b + abs_eps + rel_eps * std::fabs(b);
+}
+
 /// Returns true when `a <= b` within tolerance `abs_eps + rel_eps * |b|`.
 [[nodiscard]] constexpr bool approx_le(double a, double b, double abs_eps = 1e-6,
                                        double rel_eps = 1e-9) {
-  return a <= b + abs_eps + rel_eps * std::fabs(b);
+  return a <= approx_le_limit(b, abs_eps, rel_eps);
+}
+
+/// approx_le_limit for bandwidths: 1 byte/s absolute tolerance, vastly below
+/// the 10 MB/s minimum rates.
+[[nodiscard]] constexpr double approx_le_limit(Bandwidth b) {
+  return approx_le_limit(b.to_bytes_per_second(), 1.0);
 }
 
 [[nodiscard]] constexpr bool approx_le(Bandwidth a, Bandwidth b) {
-  // Tolerance of 1 byte/s absolute: vastly below the 10 MB/s minimum rates.
-  return approx_le(a.to_bytes_per_second(), b.to_bytes_per_second(), 1.0);
+  return a.to_bytes_per_second() <= approx_le_limit(b);
 }
 
 [[nodiscard]] constexpr bool approx_le(TimePoint a, TimePoint b) {

@@ -17,7 +17,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <limits>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -280,6 +282,55 @@ TEST(Service, RejectsDegenerateAndInfeasibleUpFront) {
   EXPECT_EQ(report.admitted, 0u);
   EXPECT_FALSE(svc.was_admitted(1));
   EXPECT_FALSE(svc.was_admitted(2));
+}
+
+Request valid_request() {
+  Request r;
+  r.id = 1;
+  r.ingress = IngressId{0};
+  r.egress = EgressId{0};
+  r.release = TimePoint::at_seconds(0.0);
+  r.deadline = TimePoint::at_seconds(10.0);
+  r.volume = Volume::megabytes(10);
+  r.max_rate = Bandwidth::gigabytes_per_second(1);
+  return r;
+}
+
+TEST(Service, SubmitThrowsOnPortIdsOutsideTheNetwork) {
+  service::AdmissionService svc{churn_network(), {}};
+  Request bad_ingress = valid_request();
+  bad_ingress.ingress = IngressId{churn_network().ingress_count()};
+  EXPECT_THROW(svc.submit(bad_ingress), std::invalid_argument);
+  Request bad_egress = valid_request();
+  bad_egress.egress = EgressId{churn_network().egress_count() + 7};
+  EXPECT_THROW(svc.submit(bad_egress), std::invalid_argument);
+  // Nothing was queued: the next drain sees only the valid request.
+  svc.submit(valid_request());
+  const service::ServiceReport report = svc.drain();
+  EXPECT_EQ(report.submitted, 1u);
+  EXPECT_EQ(report.admitted, 1u);
+}
+
+TEST(Service, SubmitThrowsOnNonFiniteOrNegativeFigures) {
+  service::AdmissionService svc{churn_network(), {}};
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  Request nan_release = valid_request();
+  nan_release.release = TimePoint::at_seconds(nan);
+  EXPECT_THROW(svc.submit(nan_release), std::invalid_argument);
+  Request nan_deadline = valid_request();
+  nan_deadline.deadline = TimePoint::at_seconds(nan);
+  EXPECT_THROW(svc.submit(nan_deadline), std::invalid_argument);
+  Request inf_deadline = valid_request();
+  inf_deadline.deadline = TimePoint::at_seconds(inf);
+  EXPECT_THROW(svc.submit(inf_deadline), std::invalid_argument);
+  Request nan_volume = valid_request();
+  nan_volume.volume = Volume::bytes(nan);
+  EXPECT_THROW(svc.submit(nan_volume), std::invalid_argument);
+  Request negative_volume = valid_request();
+  negative_volume.volume = Volume::bytes(-1e6);
+  EXPECT_THROW(svc.submit(negative_volume), std::invalid_argument);
+  EXPECT_EQ(svc.drain().submitted, 0u);
 }
 
 }  // namespace
