@@ -10,8 +10,8 @@
 // written to BENCH_engine_speedup.json by default; pass --json=PATH to
 // redirect or --quick for a smoke run that skips the JSON artifact.
 //
-// `--scale=N` appends a CUMULATED-SLOTS incremental-only scaling row at N
-// requests (the rebuild oracle is quadratic and unaffordable there). Full
+// `--scale=N` appends an incremental-only scaling row per *-SLOTS kernel at
+// N requests (the rebuild oracle is quadratic and unaffordable there). Full
 // runs default to N = 1,000,000; --quick defaults to off. CI's sanitizer
 // smoke passes `--quick --scale=100000`.
 
@@ -182,40 +182,44 @@ int run(int argc, const char* const* argv) {
     }
   }
 
-  // Scaling row: CUMULATED-SLOTS incremental alone at `scale` requests. The
-  // rebuild oracle re-sorts and re-admits every active request per slice —
-  // quadratic in practice — so only the incremental engine is timed here;
-  // its schedule is differentially verified against rebuild at the 10k size
-  // above (and in tests/incremental_engine_test.cpp).
+  // Scaling rows: each *-SLOTS kernel's incremental engine alone at `scale`
+  // requests. The rebuild oracle re-sorts and re-admits every active request
+  // per slice — quadratic in practice — so only the incremental engine is
+  // timed here; its schedules are differentially verified against rebuild at
+  // the 10k size above (and in tests/incremental_engine_test.cpp).
   if (scale > 0) {
     const auto big = workload_of(scale, true);
     std::cout << "scaling workload: " << big.size() << " rigid requests\n";
-    ScheduleResult result;
-    heuristics::SlotsTelemetry tm;
-    // Quick smokes run the scaling row once (its JSON then carries
+    // Quick smokes run each scaling row once (its JSON then carries
     // stddev_s: null); full runs take >= 2 timed repetitions so the
     // reported spread is a real measurement.
     const std::size_t scale_reps =
         args.quick ? 1 : std::max<std::size_t>(2, reps);
-    const RunningStats wall = time_runs(
-        scale_reps,
-        [&] {
-          tm = {};
-          return heuristics::schedule_rigid_slots(
-              paper_network(), big, heuristics::SlotCost::kCumulated,
-              heuristics::SlotsEngine::kIncremental, &tm);
-        },
-        &result);
-    table.add_row({"cumulated-slots@" + std::to_string(big.size()), "incremental",
-                   format_double(wall.mean(), 4), "-", std::to_string(tm.slices),
-                   std::to_string(tm.skipped_slices),
-                   std::to_string(tm.admission_checks),
-                   format_double(wall.mean() > 0.0
-                                     ? static_cast<double>(tm.slices) / wall.mean()
-                                     : 0.0,
-                                 0)});
-    names.push_back("cumulated-slots-scale/incremental");
-    walls.push_back(wall);
+    for (const auto& [cost, label] :
+         {std::pair{heuristics::SlotCost::kCumulated, std::string{"cumulated-slots"}},
+          std::pair{heuristics::SlotCost::kMinBandwidth, std::string{"minbw-slots"}},
+          std::pair{heuristics::SlotCost::kMinVolume, std::string{"minvol-slots"}}}) {
+      ScheduleResult result;
+      heuristics::SlotsTelemetry tm;
+      const RunningStats wall = time_runs(
+          scale_reps,
+          [&] {
+            tm = {};
+            return heuristics::schedule_rigid_slots(
+                paper_network(), big, cost, heuristics::SlotsEngine::kIncremental, &tm);
+          },
+          &result);
+      table.add_row({label + "@" + std::to_string(big.size()), "incremental",
+                     format_double(wall.mean(), 4), "-", std::to_string(tm.slices),
+                     std::to_string(tm.skipped_slices),
+                     std::to_string(tm.admission_checks),
+                     format_double(wall.mean() > 0.0
+                                       ? static_cast<double>(tm.slices) / wall.mean()
+                                       : 0.0,
+                                   0)});
+      names.push_back(label + "-scale/incremental");
+      walls.push_back(wall);
+    }
   }
 
   const std::string title = "Admission engine speedup — fast vs reference, " +

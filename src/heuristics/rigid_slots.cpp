@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -113,12 +112,17 @@ void narrate_preemptions(std::span<const Request> requests,
 }
 
 /// Paper-literal reference: every slice re-sorts the active set and rebuilds
-/// a fresh CounterLedger. Kept as the differential-test oracle.
+/// a fresh CounterLedger. Kept as the differential-test oracle; its buffers
+/// live outside the slice loop, so a large oracle run pays for the sort and
+/// the admissions only.
 ScheduleResult sweep_rebuild(const Network& network, std::span<const Request> requests,
                              SlotCost cost, SweepSetup& s, SlotsTelemetry* telemetry,
                              obs::Observer* observer) {
   std::size_t next_release = 0;
   std::vector<std::size_t> running;
+  std::vector<std::size_t> order;  // the slice's active set, by (cost, id)
+  order.reserve(requests.size());
+  std::vector<double> costs(requests.size());  // read only for `order` members
   std::vector<TimePoint> removed_at = make_removal_clock(requests, observer);
 
   CounterLedger counters{network};
@@ -140,8 +144,7 @@ ScheduleResult sweep_rebuild(const Network& network, std::span<const Request> re
     if (running.empty()) continue;
 
     // Sort the slice's active requests by non-decreasing cost.
-    std::vector<std::size_t> order = running;
-    std::vector<double> costs(requests.size());
+    order.assign(running.begin(), running.end());
     for (std::size_t k : order) costs[k] = slot_cost(network, requests[k], cost, t1, t2);
     std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b2) {
       if (costs[a] != costs[b2]) return costs[a] < costs[b2];
@@ -174,6 +177,74 @@ ScheduleResult sweep_rebuild(const Network& network, std::span<const Request> re
   return assemble(requests, s.alive, observer);
 }
 
+/// Slice-boundary bookkeeping shared by the two incremental sweeps: the
+/// release-order arrival cursor, a min-heap of (deadline, k) over every
+/// request that entered the active set, and the skip rule. Entries of
+/// retro-removed requests stay in the heap; they only make their deadline's
+/// slice count as non-skipped, and the sweeps ignore them when popped. All
+/// storage is reserved for the full request set, so the sweeps' slice loops
+/// never allocate.
+class SliceEvents {
+ public:
+  SliceEvents(std::span<const Request> requests, const SweepSetup& s)
+      : requests_{requests}, s_{&s} {
+    newcomers_.reserve(requests.size());
+    departures_.reserve(requests.size());
+  }
+
+  /// Opens slice [t1, t2): gathers the live arrivals due by t1 that outlive
+  /// t2 and enters them into the departure heap (their deadlines are >= t2,
+  /// so none is due in this slice). Returns false when the slice changes
+  /// nothing — no arrival, no departure due, no retro-removal in the
+  /// previous slice — so the previous decisions stand and the slice is
+  /// skipped.
+  bool open(TimePoint t1, TimePoint t2, SlotsTelemetry* telemetry) {
+    if (telemetry != nullptr) ++telemetry->slices;
+    t2_ = t2.to_seconds();
+    newcomers_.clear();
+    while (next_release_ < s_->by_release.size() &&
+           requests_[s_->by_release[next_release_]].release <= t1) {
+      const std::size_t k = s_->by_release[next_release_++];
+      if (!(s_->alive[k] && requests_[k].deadline >= t2)) continue;
+      newcomers_.push_back(k);
+      departures_.emplace_back(requests_[k].deadline.to_seconds(), k);
+      std::push_heap(departures_.begin(), departures_.end(), std::greater<>{});
+    }
+    const bool departures_due =
+        !departures_.empty() && departures_.front().first < t2_;
+    if (newcomers_.empty() && !departures_due && !dirty) {
+      if (telemetry != nullptr) ++telemetry->skipped_slices;
+      return false;
+    }
+    dirty = false;
+    return true;
+  }
+
+  /// Pops the next request whose deadline falls before the slice's end, in
+  /// (deadline, k) order; kNone once there is none.
+  std::size_t pop_departure() {
+    if (departures_.empty() || !(departures_.front().first < t2_)) return kNone;
+    std::pop_heap(departures_.begin(), departures_.end(), std::greater<>{});
+    const std::size_t k = departures_.back().second;
+    departures_.pop_back();
+    return k;
+  }
+
+  [[nodiscard]] std::vector<std::size_t>& newcomers() { return newcomers_; }
+
+  /// Set by a sweep that retro-removed a request during this slice: the
+  /// next slice is then processed even if its membership did not change.
+  bool dirty = false;
+
+ private:
+  std::span<const Request> requests_;
+  const SweepSetup* s_;
+  std::size_t next_release_ = 0;
+  double t2_ = 0.0;
+  std::vector<std::size_t> newcomers_;
+  std::vector<std::pair<double, std::size_t>> departures_;  // min-heap
+};
+
 /// Incremental engine for the static-cost kernels (MINBW/MINVOL — any cost
 /// whose factor does not depend on the slice). The sorted active set and the
 /// AdmissionLedger survive across slices; boundaries apply finish and
@@ -181,13 +252,25 @@ ScheduleResult sweep_rebuild(const Network& network, std::span<const Request> re
 /// first position whose decision inputs changed. Two invariants carry the
 /// engine (shared with sweep_cumulated below):
 ///
-///  * after compaction, every member of `order` is currently admitted (a
-///    member that failed admission was retro-removed on the spot), so the
-///    active set is jointly feasible;
+///  * every live member of the active set is currently admitted (a member
+///    that failed admission was retro-removed on the spot), so the active
+///    set is jointly feasible;
 ///  * a jointly feasible set re-admits fully under ANY greedy order, so
 ///    pure departures never need a replay — dropping a member only frees
 ///    capacity — and a newcomer slice replays only from the first
 ///    newcomer's position (the prefix is all-admitted and stands).
+///
+/// Work per slice is proportional to what changes, not to the active set:
+///
+///  * departures come off the deadline heap and are dropped in (cost, id)
+///    order — the order a walk over `order` would meet them — so the ledger
+///    sums match a compaction sweep bit for bit;
+///  * departed and retro-removed members stay in `order` as tombstones
+///    (`member[k] == 0`). A tombstone holds no bandwidth, so the fast path's
+///    suffix scan and the replay's drop loop pass over it unchanged, and the
+///    replay skips it. `order` is compacted once tombstones are the majority;
+///  * newcomers are merged in backwards from their upper bounds, in place.
+// gridbw:hot
 ScheduleResult sweep_incremental(const Network& network,
                                  std::span<const Request> requests, SlotCost cost,
                                  SweepSetup& s, SlotsTelemetry* telemetry,
@@ -213,73 +296,67 @@ ScheduleResult sweep_incremental(const Network& network,
   AdmissionLedger book{network, n};
   book.attach_observer(observer);  // drift-anomaly hook only
   std::vector<TimePoint> removed_at = make_removal_clock(requests, observer);
-  std::vector<std::size_t> order;  // active set, sorted by (cost, id)
+  SliceEvents events{requests, s};
+  std::vector<std::size_t> order;  // active set and tombstones, by (cost, id)
   order.reserve(n);
-  std::vector<std::size_t> newcomers;  // reusable per-slice scratch
-  // Earliest active deadline, to detect departures in O(1). Entries are
-  // lazy: a dead member's entry only forces a (correct) non-skipped slice.
-  std::priority_queue<std::pair<double, std::size_t>,
-                      std::vector<std::pair<double, std::size_t>>, std::greater<>>
-      departures;
+  std::vector<char> member(n, 0);  // 1 = live member of the active set
+  std::size_t live = 0;
+  std::vector<std::size_t> leaving;  // the slice's departures
+  leaving.reserve(n);
 
-  std::size_t next_release = 0;
-  bool dirty = false;  // a request was retro-removed during the last replay
+  const auto retro_remove = [&](std::size_t k, TimePoint at) {
+    s.alive[k] = 0;  // permanent
+    member[k] = 0;
+    --live;
+    events.dirty = true;
+    if (observer != nullptr) removed_at[k] = at;
+  };
 
   for (std::size_t b = 0; b + 1 < s.boundaries.size(); ++b) {
     const TimePoint t1 = s.boundaries[b];
-    const TimePoint t2 = s.boundaries[b + 1];
-    if (telemetry != nullptr) ++telemetry->slices;
+    if (!events.open(t1, s.boundaries[b + 1], telemetry)) continue;
 
-    // Consume arrivals due by t1.
-    newcomers.clear();
-    while (next_release < s.by_release.size() &&
-           requests[s.by_release[next_release]].release <= t1) {
-      const std::size_t k = s.by_release[next_release++];
-      if (s.alive[k] && requests[k].deadline >= t2) newcomers.push_back(k);
+    // Departures. Dropping a member only frees capacity, and every
+    // surviving member is currently admitted (jointly feasible), so
+    // departures alone never force a replay — only newcomers can change
+    // later decisions.
+    leaving.clear();
+    for (std::size_t k = events.pop_departure(); k != kNone; k = events.pop_departure()) {
+      if (member[k]) leaving.push_back(k);
+    }
+    std::sort(leaving.begin(), leaving.end(), by_cost);
+    for (const std::size_t k : leaving) {
+      book.drop(k, requests[k].ingress, requests[k].egress);
+      member[k] = 0;
+    }
+    live -= leaving.size();
+    if (order.size() - live > live) {  // tombstones are the majority
+      std::erase_if(order, [&](std::size_t k) { return !member[k]; });
     }
 
-    const bool departures_due =
-        !departures.empty() && departures.top().first < t2.to_seconds();
-    if (newcomers.empty() && !departures_due && !dirty) {
-      // No membership change: the previous slice's decisions stand.
-      if (telemetry != nullptr) ++telemetry->skipped_slices;
-      continue;
-    }
-    dirty = false;
-    while (!departures.empty() && departures.top().first < t2.to_seconds()) {
-      departures.pop();
-    }
-
-    // Compact the active set in place, applying departure/retro-removal
-    // deltas. Dropping a member only frees capacity, and every surviving
-    // member is currently admitted (jointly feasible), so compaction alone
-    // never forces a replay — only newcomers can change later decisions.
-    std::size_t write = 0;
-    for (std::size_t read = 0; read < order.size(); ++read) {
-      const std::size_t k = order[read];
-      if (!s.alive[k] || !(requests[k].deadline >= t2)) {
-        book.drop(k, requests[k].ingress, requests[k].egress);
-        continue;
-      }
-      order[write++] = k;
-    }
-    order.resize(write);
-
+    std::vector<std::size_t>& newcomers = events.newcomers();
     if (newcomers.empty()) continue;  // pure departures: decisions stand
 
-    for (std::size_t k : newcomers) {
-      departures.emplace(requests[k].deadline.to_seconds(), k);
-    }
+    // Merge the sorted newcomers in from the back: each lands at its upper
+    // bound among the old entries (after any equal key), and every old
+    // entry moves at most once.
     std::sort(newcomers.begin(), newcomers.end(), by_cost);
-    const std::size_t merged_from = order.size();
-    order.insert(order.end(), newcomers.begin(), newcomers.end());
-    std::inplace_merge(order.begin(),
-                       order.begin() + static_cast<std::ptrdiff_t>(merged_from),
-                       order.end(), by_cost);
+    const std::size_t old_size = order.size();
+    order.resize(old_size + newcomers.size());
+    auto old_end = order.begin() + static_cast<std::ptrdiff_t>(old_size);
+    auto write_end = order.end();
+    for (auto it = newcomers.rbegin(); it != newcomers.rend(); ++it) {
+      const auto pos = std::upper_bound(order.begin(), old_end, *it, by_cost);
+      write_end = std::move_backward(pos, old_end, write_end);
+      *--write_end = *it;
+      old_end = pos;
+      member[*it] = 1;
+    }
+    live += newcomers.size();
 
-    // Static-cost fast path (ISSUE 7 satellite, DESIGN.md §5h). Every order
-    // member is currently admitted, so the active set is jointly feasible.
-    // Probe each newcomer, cheapest first, against the *total* current load:
+    // Static-cost fast path (DESIGN.md §5h). Every live member is currently
+    // admitted, so the active set is jointly feasible. Probe each newcomer,
+    // cheapest first, against the *total* current load:
     //
     //  * fits the total → {members} ∪ {newcomer} is jointly feasible, and a
     //    jointly feasible set re-admits fully under any greedy order — the
@@ -298,9 +375,7 @@ ScheduleResult sweep_incremental(const Network& network,
     for (const std::size_t k : newcomers) {
       const Request& r = requests[k];
       if (!feasible[k]) {
-        s.alive[k] = 0;  // never allocates: no other decision can change
-        dirty = true;
-        if (observer != nullptr) removed_at[k] = t1;
+        retro_remove(k, t1);  // never allocates: no other decision can change
         continue;
       }
       // admission_checks counts ledger probes only (same contract as the
@@ -336,9 +411,7 @@ ScheduleResult sweep_incremental(const Network& network,
         replay_from = pos;  // true displacement: replay the suffix
         break;
       }
-      s.alive[k] = 0;  // retro-removal, permanent
-      dirty = true;
-      if (observer != nullptr) removed_at[k] = t1;
+      retro_remove(k, t1);
     }
     if (replay_from == kNone) continue;
 
@@ -353,14 +426,13 @@ ScheduleResult sweep_incremental(const Network& network,
     }
     for (std::size_t idx = replay_from; idx < order.size(); ++idx) {
       const std::size_t k = order[idx];
+      if (!member[k]) continue;  // tombstone
       const Request& r = requests[k];
       if (feasible[k]) {
         if (telemetry != nullptr) ++telemetry->admission_checks;
         if (book.try_admit(k, r.ingress, r.egress, rates[k])) continue;
       }
-      s.alive[k] = 0;  // retro-removal, permanent
-      dirty = true;
-      if (observer != nullptr) removed_at[k] = t1;
+      retro_remove(k, t1);
     }
   }
   narrate_preemptions(requests, s.alive, removed_at, observer);
@@ -369,13 +441,11 @@ ScheduleResult sweep_incremental(const Network& network,
 
 /// Per-sweep scratch for the CUMULATED kernel, sized once before the sweep
 /// loop and reused every slice — the sweep body is `gridbw:hot`, which bans
-/// stray allocation, and all the per-slice buffers below have capacity for
-/// the full request set so refills never grow them.
+/// stray allocation, and every per-slice buffer below has capacity for the
+/// full request set so refills never grow it.
 ///
 /// Request-indexed arrays are SoA mirrors of the fields the inner loops
-/// touch; the g_* arrays are gather buffers laid out in active-set order so
-/// the per-slice cost refresh runs over contiguous doubles and
-/// auto-vectorizes instead of chasing Request structs.
+/// touch, and admission runs on raw double port loads.
 struct CumulatedArena {
   // Indexed by request k. rate/ratio/rel/win reproduce slot_cost's inputs
   // bit-for-bit: cost = ratio / ((t2 - rel) / win), the exact operation
@@ -384,8 +454,9 @@ struct CumulatedArena {
   std::vector<double> ratio;     // min_rate / bottleneck (cost numerator)
   std::vector<double> rel;       // release, seconds
   std::vector<double> win;       // deadline - release, seconds
-  std::vector<double> cost;      // current-slice cost (comparator input)
+  std::vector<double> cost;      // cost at the slice it was last computed
   std::vector<char> feasible;    // min_rate <= max_rate (approx_le)
+  std::vector<char> member;      // 1 = live member of the active set
   std::vector<std::uint32_t> iport;
   std::vector<std::uint32_t> eport;
   std::vector<double> held;      // admitted bandwidth, 0 = not admitted
@@ -393,25 +464,35 @@ struct CumulatedArena {
   // precomputed (approx_le_limit of the capacity).
   std::vector<double> load_in, load_out;
   std::vector<double> limit_in, limit_out;
-  // Active-set-order gather buffers for the vectorized cost refresh.
-  std::vector<double> g_rel, g_win, g_ratio, g_cost;
+  // Max-heap of (cost when last computed, k) over the live members, plus
+  // lazy entries of departed ones.
+  std::vector<std::pair<double, std::size_t>> by_stale_cost;
+  std::vector<std::size_t> suffix;    // the slice's replayed members
+  std::vector<std::size_t> re_keyed;  // examined members that stay in the prefix
 };
 
-/// CUMULATED-SLOTS incremental kernel (the ISSUE 6 tentpole). The cost
-/// factor is slice-dependent, so a newcomer slice must refresh every active
-/// cost and re-sort — but the two sweep invariants (see sweep_incremental)
-/// still hold, and they carry all the savings:
+/// CUMULATED-SLOTS incremental kernel. The cost factor is slice-dependent,
+/// but the two sweep invariants (see sweep_incremental) still hold, and
+/// they carry all the savings:
 ///
 ///  * pure-departure slices apply their drops and stop: the surviving set
 ///    is jointly feasible and re-admits fully under any order, so the
 ///    replay would be a no-op — skip it entirely;
-///  * newcomer slices replay only from the first newcomer's position in
-///    the freshly sorted order: the prefix holds only currently-admitted
-///    members (in some permutation of the old order, which cannot change a
-///    jointly feasible set's decisions), so its admissions stand;
-///  * the cost refresh gathers into contiguous arrays and runs one
-///    division loop the compiler vectorizes, and admission runs on raw
-///    double port loads against precomputed approx_le thresholds.
+///  * newcomer slices replay only the members that sort at or after the
+///    cheapest newcomer (`lead`): everything cheaper is an admitted member
+///    whose admission stands, whatever its order among the others.
+///
+/// Finding that suffix does not need every member's current cost. The cost
+/// ratio / ((t2 - rel) / win) is non-increasing in t2 — even in IEEE
+/// arithmetic, since each correctly rounded operation is monotone — so a
+/// cost computed at an earlier slice is an upper bound on today's. Members
+/// sit in a max-heap keyed by the cost they were last computed at; popping
+/// while the key reaches lead's cost, and re-costing exactly what is popped,
+/// visits every member that can join the suffix. Popped members that stay
+/// cheaper than lead are pushed back with their fresh cost; the suffix is
+/// sorted, dropped and replayed, and its survivors re-enter the heap.
+/// Departed members leave lazy heap entries, discarded when popped, and the
+/// heap is rebuilt once they outnumber the live members.
 // gridbw:hot
 ScheduleResult sweep_cumulated(const Network& network,
                                std::span<const Request> requests, SweepSetup& s,
@@ -425,6 +506,7 @@ ScheduleResult sweep_cumulated(const Network& network,
   a.win.assign(n, 0.0);
   a.cost.assign(n, 0.0);
   a.feasible.assign(n, 0);
+  a.member.assign(n, 0);
   a.iport.assign(n, 0);
   a.eport.assign(n, 0);
   a.held.assign(n, 0.0);
@@ -449,10 +531,9 @@ ScheduleResult sweep_cumulated(const Network& network,
   for (std::size_t p = 0; p < network.egress_count(); ++p) {
     a.limit_out[p] = approx_le_limit(network.egress_capacity(EgressId{p}));
   }
-  a.g_rel.reserve(n);
-  a.g_win.reserve(n);
-  a.g_ratio.reserve(n);
-  a.g_cost.reserve(n);
+  a.by_stale_cost.reserve(n);
+  a.suffix.reserve(n);
+  a.re_keyed.reserve(n);
 
   // Mirrors CounterLedger::reclaim's clamp: FP noise may dip a counter a
   // hair below zero; anything past the admission tolerance is a bug.
@@ -472,101 +553,65 @@ ScheduleResult sweep_cumulated(const Network& network,
     if (a.cost[x] != a.cost[y]) return a.cost[x] < a.cost[y];
     return requests[x].id < requests[y].id;
   };
+  // slot_cost's CUMULATED operation sequence, bit for bit.
+  const auto recost = [&a](std::size_t k, double t2s) {
+    a.cost[k] = a.ratio[k] / ((t2s - a.rel[k]) / a.win[k]);
+  };
+  const auto push_keyed = [&a](std::size_t k) {
+    a.by_stale_cost.emplace_back(a.cost[k], k);
+    std::push_heap(a.by_stale_cost.begin(), a.by_stale_cost.end());
+  };
 
   std::vector<TimePoint> removed_at = make_removal_clock(requests, observer);
-  std::vector<std::size_t> order;  // active set, sorted by (cost, id)
-  order.reserve(n);
-  std::vector<std::size_t> newcomers;
-  newcomers.reserve(n);
-  std::priority_queue<std::pair<double, std::size_t>,
-                      std::vector<std::pair<double, std::size_t>>, std::greater<>>
-      departures;
-
-  std::size_t next_release = 0;
-  bool dirty = false;  // a request was retro-removed during the last replay
+  SliceEvents events{requests, s};
+  std::size_t live = 0;
 
   for (std::size_t b = 0; b + 1 < s.boundaries.size(); ++b) {
     const TimePoint t1 = s.boundaries[b];
-    const TimePoint t2 = s.boundaries[b + 1];
-    if (telemetry != nullptr) ++telemetry->slices;
+    if (!events.open(t1, s.boundaries[b + 1], telemetry)) continue;
 
-    newcomers.clear();
-    while (next_release < s.by_release.size() &&
-           requests[s.by_release[next_release]].release <= t1) {
-      const std::size_t k = s.by_release[next_release++];
-      if (s.alive[k] && requests[k].deadline >= t2) newcomers.push_back(k);
+    for (std::size_t k = events.pop_departure(); k != kNone; k = events.pop_departure()) {
+      if (!a.member[k]) continue;  // entry of a retro-removed request
+      drop_held(k);
+      a.member[k] = 0;
+      --live;
     }
 
-    const bool departures_due =
-        !departures.empty() && departures.top().first < t2.to_seconds();
-    if (newcomers.empty() && !departures_due && !dirty) {
-      if (telemetry != nullptr) ++telemetry->skipped_slices;
-      continue;
-    }
-    dirty = false;
-    while (!departures.empty() && departures.top().first < t2.to_seconds()) {
-      departures.pop();
-    }
-
-    // Apply departure/retro-removal deltas and compact the active set.
-    std::size_t write = 0;
-    for (std::size_t read = 0; read < order.size(); ++read) {
-      const std::size_t k = order[read];
-      if (!s.alive[k] || !(requests[k].deadline >= t2)) {
-        drop_held(k);
-        continue;
-      }
-      order[write++] = k;
-    }
-    order.resize(write);
-
+    const std::vector<std::size_t>& newcomers = events.newcomers();
     if (newcomers.empty()) continue;  // pure departures: decisions stand
 
-    for (std::size_t k : newcomers) {
-      departures.emplace(requests[k].deadline.to_seconds(), k);
+    // Newcomers join the active set and are costed fresh; `lead` is the
+    // cheapest of them.
+    const double t2s = s.boundaries[b + 1].to_seconds();
+    a.suffix.assign(newcomers.begin(), newcomers.end());
+    for (const std::size_t k : newcomers) {
+      recost(k, t2s);
+      a.member[k] = 1;
     }
-    order.insert(order.end(), newcomers.begin(), newcomers.end());
-
-    // Vectorized cost refresh: gather the slice-invariant factors into
-    // contiguous buffers, run one division loop over them, scatter back for
-    // the comparator. Bit-identical to calling slot_cost per request.
-    const std::size_t m = order.size();
-    a.g_rel.resize(m);
-    a.g_win.resize(m);
-    a.g_ratio.resize(m);
-    a.g_cost.resize(m);
-    for (std::size_t idx = 0; idx < m; ++idx) {
-      const std::size_t k = order[idx];
-      a.g_rel[idx] = a.rel[k];
-      a.g_win[idx] = a.win[k];
-      a.g_ratio[idx] = a.ratio[k];
-    }
-    const double t2s = t2.to_seconds();
-    for (std::size_t idx = 0; idx < m; ++idx) {
-      a.g_cost[idx] = a.g_ratio[idx] / ((t2s - a.g_rel[idx]) / a.g_win[idx]);
-    }
-    for (std::size_t idx = 0; idx < m; ++idx) a.cost[order[idx]] = a.g_cost[idx];
-
-    // Replay starts at the cheapest newcomer (`lead`). Everything cheaper
-    // than it is an already-admitted old member whose admission stands, and
-    // whose internal order is irrelevant (it is never replayed) — so an
-    // O(m) partition replaces the full sort, and only the replayed suffix
-    // is sorted. Identical decisions to sorting everything: the suffix is
-    // exactly the tail a full sort would put at and after lead's position.
+    live += newcomers.size();
     std::size_t lead = newcomers.front();
-    for (std::size_t idx = 1; idx < newcomers.size(); ++idx) {
-      if (by_cost(newcomers[idx], lead)) lead = newcomers[idx];
+    for (const std::size_t k : newcomers) {
+      if (by_cost(k, lead)) lead = k;
     }
-    const auto suffix_begin =
-        std::partition(order.begin(), order.end(),
-                       [&](std::size_t k) { return by_cost(k, lead); });
-    std::sort(suffix_begin, order.end(), by_cost);
-    const auto first_change =
-        static_cast<std::size_t>(suffix_begin - order.begin());
 
-    for (std::size_t idx = first_change; idx < m; ++idx) drop_held(order[idx]);
-    for (std::size_t idx = first_change; idx < m; ++idx) {
-      const std::size_t k = order[idx];
+    // Every member whose stale key is below lead's cost is cheaper than
+    // lead today and stays in the prefix; re-cost the rest exactly.
+    a.re_keyed.clear();
+    while (!a.by_stale_cost.empty() && a.by_stale_cost.front().first >= a.cost[lead]) {
+      std::pop_heap(a.by_stale_cost.begin(), a.by_stale_cost.end());
+      const std::size_t k = a.by_stale_cost.back().second;
+      a.by_stale_cost.pop_back();
+      if (!a.member[k]) continue;  // lazy entry of a departed member
+      recost(k, t2s);
+      (by_cost(k, lead) ? a.re_keyed : a.suffix).push_back(k);
+    }
+    for (const std::size_t k : a.re_keyed) push_keyed(k);
+
+    // Exactly the tail a full sort of the active set would put at and after
+    // lead's position, in the same order.
+    std::sort(a.suffix.begin(), a.suffix.end(), by_cost);
+    for (const std::size_t k : a.suffix) drop_held(k);
+    for (const std::size_t k : a.suffix) {
       if (a.feasible[k]) {
         // admission_checks counts ledger probes only (same contract as the
         // other engines).
@@ -579,12 +624,20 @@ ScheduleResult sweep_cumulated(const Network& network,
           a.load_in[ip] += bw;
           a.load_out[ep] += bw;
           a.held[k] = bw;
+          push_keyed(k);
           continue;
         }
       }
+      a.member[k] = 0;
+      --live;
       s.alive[k] = 0;  // retro-removal, permanent
-      dirty = true;
+      events.dirty = true;
       if (observer != nullptr) removed_at[k] = t1;
+    }
+
+    if (a.by_stale_cost.size() > 2 * live) {
+      std::erase_if(a.by_stale_cost, [&a](const auto& e) { return !a.member[e.second]; });
+      std::make_heap(a.by_stale_cost.begin(), a.by_stale_cost.end());
     }
   }
   narrate_preemptions(requests, s.alive, removed_at, observer);
@@ -627,6 +680,9 @@ double slot_cost(const Network& network, const Request& r, SlotCost cost, TimePo
     case SlotCost::kMinVolume:
       return r.volume.to_bytes();
   }
+  // sweep_incremental calls this once per request before its slice loop;
+  // every SlotCost value returns above.
+  // GRIDBW-ALLOW(hot-propagation): bad-enum guard, unreachable hot
   throw std::logic_error{"slot_cost: bad cost kind"};
 }
 

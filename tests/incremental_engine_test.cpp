@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <tuple>
 #include <vector>
 
@@ -18,7 +19,9 @@
 #include "obs/counters.hpp"
 #include "obs/observer.hpp"
 #include "obs/trace_sink.hpp"
+#include "util/random.hpp"
 #include "workload/generator.hpp"
+#include "workload/load.hpp"
 #include "workload/scenario.hpp"
 
 namespace gridbw {
@@ -74,6 +77,132 @@ INSTANTIATE_TEST_SUITE_P(AllSlotCosts, SlotsEngineDifferential,
                          ::testing::Values(heuristics::SlotCost::kCumulated,
                                            heuristics::SlotCost::kMinBandwidth,
                                            heuristics::SlotCost::kMinVolume));
+
+/// A tie-heavy rigid workload: integer-second releases and windows (many
+/// arrivals and departures share a slice boundary, so departures leave in
+/// batches and a departure that is applied one slice early or late changes
+/// decisions), volumes and windows drawn from short
+/// lists (MINBW and MINVOL costs tie and the id tie-break decides, and
+/// CUMULATED costs tie whenever two requests share a ratio and a progress
+/// fraction; the 3 s and 7 s windows give rates that are not exact in
+/// binary), plus infeasible-rate and degenerate-window requests.
+std::vector<Request> tie_heavy_workload(std::uint64_t seed, std::size_t count) {
+  constexpr double kVolumesMb[] = {100.0, 200.0, 400.0, 600.0};
+  constexpr std::int64_t kWindowsS[] = {3, 5, 7, 10, 20, 40};
+  Rng rng{seed};
+  std::vector<Request> out;
+  out.reserve(count);
+  for (std::size_t k = 0; k < count; ++k) {
+    Request r;
+    r.id = static_cast<RequestId>(k + 1);
+    r.ingress = IngressId{static_cast<std::size_t>(rng.uniform_int(0, 2))};
+    r.egress = EgressId{static_cast<std::size_t>(rng.uniform_int(0, 2))};
+    const std::int64_t release = rng.uniform_int(0, 1500);
+    std::int64_t window = kWindowsS[rng.uniform_int(0, 5)];
+    const std::int64_t shape = rng.uniform_int(0, 99);
+    if (shape < 3) window = 0;        // degenerate: deadline == release
+    else if (shape < 5) window = -5;  // degenerate: deadline before release
+    r.release = TimePoint::at_seconds(static_cast<double>(release));
+    r.deadline = TimePoint::at_seconds(static_cast<double>(release + window));
+    r.volume = Volume::megabytes(kVolumesMb[rng.uniform_int(0, 3)]);
+    const double min_rate_mb =
+        window > 0 ? r.volume.to_bytes() / 1e6 / static_cast<double>(window) : 1.0;
+    // About 8% cannot reach their minimum rate under their own cap.
+    r.max_rate = Bandwidth::megabytes_per_second(shape >= 92 ? min_rate_mb / 2.0
+                                                             : 2.0 * min_rate_mb);
+    out.push_back(r);
+  }
+  return out;
+}
+
+class SlotsEngineTieHeavy : public ::testing::TestWithParam<heuristics::SlotCost> {};
+
+TEST_P(SlotsEngineTieHeavy, IncrementalMatchesRebuildWhenCostsAndBoundariesTie) {
+  const auto cost = GetParam();
+  const Network net = Network::uniform(3, 3, Bandwidth::megabytes_per_second(100));
+  for (const std::uint64_t seed : {3u, 17u, 2024u}) {
+    const auto requests = tie_heavy_workload(seed, 3000);
+    heuristics::SlotsTelemetry rebuild_tm, incremental_tm;
+    const auto reference = heuristics::schedule_rigid_slots(
+        net, requests, cost, heuristics::SlotsEngine::kRebuild, &rebuild_tm);
+    const auto fast = heuristics::schedule_rigid_slots(
+        net, requests, cost, heuristics::SlotsEngine::kIncremental, &incremental_tm);
+
+    EXPECT_EQ(fingerprint(reference), fingerprint(fast))
+        << to_string(cost) << " seed=" << seed;
+    // The workload must actually contend, or ties never decide anything.
+    EXPECT_GT(reference.rejected.size(), requests.size() / 5) << "seed=" << seed;
+    EXPECT_LT(reference.rejected.size(), requests.size() * 4 / 5) << "seed=" << seed;
+    EXPECT_EQ(rebuild_tm.slices, incremental_tm.slices);
+    EXPECT_EQ(rebuild_tm.skipped_slices, incremental_tm.skipped_slices);
+    EXPECT_LE(incremental_tm.admission_checks, rebuild_tm.admission_checks);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllSlotCosts, SlotsEngineTieHeavy,
+                         ::testing::Values(heuristics::SlotCost::kCumulated,
+                                           heuristics::SlotCost::kMinBandwidth,
+                                           heuristics::SlotCost::kMinVolume));
+
+/// FNV-1a over the schedule in result order: accepted (id, start bits, bw
+/// bits), then rejected ids.
+std::uint64_t fingerprint_hash(const ScheduleResult& result) {
+  std::uint64_t h = 1469598103934665603ULL;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (v >> (8 * byte)) & 0xffU;
+      h *= 1099511628211ULL;
+    }
+  };
+  const auto mix_double = [&mix](double d) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &d, sizeof bits);
+    mix(bits);
+  };
+  for (const Assignment& a : result.schedule.assignments()) {
+    mix(static_cast<std::uint64_t>(a.request));
+    mix_double(a.start.to_seconds());
+    mix_double(a.bw.to_bytes_per_second());
+  }
+  for (const RequestId id : result.rejected) mix(static_cast<std::uint64_t>(id));
+  return h;
+}
+
+// Golden pin of the fast path on a paper_rigid-sized run (Sec. 4.3 platform
+// at offered load 3, 25k requests, seed 2). The repository benchmark reads
+// the SlotsTelemetry counters as heuristics.slots.*; a kernel change that
+// keeps decisions but redefines a counter must trip this test.
+TEST(SlotsGoldenPin, PaperRigidDecisionsAndTelemetry) {
+  workload::Scenario s =
+      workload::paper_rigid(Duration::seconds(1), Duration::seconds(1));
+  const Duration ia = workload::interarrival_for_load(s.spec, s.network, 3.0);
+  s.spec.mean_interarrival = ia;
+  s.spec.horizon = Duration::seconds(ia.to_seconds() * 25000.0);
+  Rng rng{2};
+  const auto requests = workload::generate(s.spec, rng);
+  ASSERT_EQ(requests.size(), 25146u);
+
+  struct Pin {
+    heuristics::SlotCost cost;
+    std::uint64_t fingerprint;
+    std::size_t slices, skipped_slices, admission_checks, rejected;
+  };
+  const Pin pins[] = {
+      {heuristics::SlotCost::kCumulated, 0x860e17e8d4c470e2ULL, 50291, 0, 39354, 10400},
+      {heuristics::SlotCost::kMinBandwidth, 0x107836324c7c9b2fULL, 50291, 0, 134085, 9186},
+      {heuristics::SlotCost::kMinVolume, 0x722e38eced60a5ffULL, 50291, 0, 182570, 8937},
+  };
+  for (const Pin& pin : pins) {
+    heuristics::SlotsTelemetry tm;
+    const auto result = heuristics::schedule_rigid_slots(
+        s.network, requests, pin.cost, heuristics::SlotsEngine::kIncremental, &tm);
+    EXPECT_EQ(fingerprint_hash(result), pin.fingerprint) << to_string(pin.cost);
+    EXPECT_EQ(result.rejected.size(), pin.rejected) << to_string(pin.cost);
+    EXPECT_EQ(tm.slices, pin.slices) << to_string(pin.cost);
+    EXPECT_EQ(tm.skipped_slices, pin.skipped_slices) << to_string(pin.cost);
+    EXPECT_EQ(tm.admission_checks, pin.admission_checks) << to_string(pin.cost);
+  }
+}
 
 TEST(SlotsEngineDifferential, DefaultOverloadIsTheIncrementalEngine) {
   const workload::Scenario scenario =
@@ -147,6 +276,38 @@ TEST(AdmissionChecksContract, CountsLedgerProbesOnlyInEveryEngine) {
       EXPECT_EQ(result.rejected.size(), 1u);
       EXPECT_EQ(result.schedule.assignments().size(), 3u);
     }
+  }
+}
+
+// The CUMULATED sweep re-costs only members whose cost from an earlier
+// slice (an upper bound on today's) reaches the cheapest newcomer's cost.
+// A zero-volume request's cost is 0 at every slice, so its stale key equals
+// a zero-cost newcomer's cost exactly; it sorts after that newcomer (larger
+// id) and must be replayed, as the rebuild engine does. Only the probe
+// count can see the difference: a zero-rate request fits either way.
+TEST(AdmissionChecksContract, CumulatedReplaysMembersWhoseStaleCostTiesTheLead) {
+  const Network net = Network::uniform(1, 1, Bandwidth::megabytes_per_second(100));
+  const auto zero_volume = [](RequestId id, double release) {
+    Request r;
+    r.id = id;
+    r.ingress = IngressId{0};
+    r.egress = EgressId{0};
+    r.release = TimePoint::at_seconds(release);
+    r.deadline = TimePoint::at_seconds(10);
+    r.volume = Volume::bytes(0.0);
+    r.max_rate = Bandwidth::megabytes_per_second(1);
+    return r;
+  };
+  // Slices [0, 2) and [2, 10): id 5 is probed in both, id 1 once.
+  const std::vector<Request> requests = {zero_volume(RequestId{5}, 0.0),
+                                         zero_volume(RequestId{1}, 2.0)};
+  for (const auto engine :
+       {heuristics::SlotsEngine::kRebuild, heuristics::SlotsEngine::kIncremental}) {
+    heuristics::SlotsTelemetry tm;
+    const auto result = heuristics::schedule_rigid_slots(
+        net, requests, heuristics::SlotCost::kCumulated, engine, &tm);
+    EXPECT_EQ(tm.admission_checks, 3u) << to_string(engine);
+    EXPECT_TRUE(result.rejected.empty()) << to_string(engine);
   }
 }
 
