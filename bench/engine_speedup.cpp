@@ -11,18 +11,24 @@
 // redirect or --quick for a smoke run that skips the JSON artifact.
 //
 // `--scale=N` appends an incremental-only scaling row per *-SLOTS kernel at
-// N requests (the rebuild oracle is quadratic and unaffordable there). Full
+// N requests (the rebuild oracle is quadratic and unaffordable there), plus
+// GREEDY and WINDOW rows on an N-request arrival-ordered flexible trace and
+// on a shuffled copy of it: the FCFS order's linear pass against its stable
+// sort. The bench exits FATAL if the two decide differently. Full
 // runs default to N = 1,000,000; --quick defaults to off. CI's sanitizer
 // smoke passes `--quick --scale=100000`.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "heuristics/flexible_window.hpp"
+#include "heuristics/parse.hpp"
 #include "heuristics/rigid_slots.hpp"
 #include "workload/generator.hpp"
 #include "workload/load.hpp"
@@ -66,7 +72,11 @@ RunningStats time_runs(std::size_t reps, const Fn& fn, ScheduleResult* last) {
 }
 
 bool same_schedule(const ScheduleResult& a, const ScheduleResult& b) {
-  if (a.rejected.size() != b.rejected.size()) return false;
+  auto a_rejected = a.rejected;
+  auto b_rejected = b.rejected;
+  std::sort(a_rejected.begin(), a_rejected.end());
+  std::sort(b_rejected.begin(), b_rejected.end());
+  if (a_rejected != b_rejected) return false;
   if (a.schedule.assignments().size() != b.schedule.assignments().size()) return false;
   for (std::size_t k = 0; k < a.schedule.assignments().size(); ++k) {
     const Assignment& x = a.schedule.assignments()[k];
@@ -219,6 +229,45 @@ int run(int argc, const char* const* argv) {
                                    0)});
       names.push_back(label + "-scale/incremental");
       walls.push_back(wall);
+    }
+  }
+
+  // FCFS arrival-order rows: GREEDY and WINDOW (paper_flexible's MinRate
+  // lineup) at `scale` flexible requests, once on the generator's
+  // arrival-ordered trace (the linear fast path of the shared FCFS order)
+  // and once on a shuffled copy of it (the sort path). The two must decide
+  // identically.
+  if (scale > 0) {
+    const auto ordered = workload_of(scale, false);
+    auto shuffled = ordered;
+    Rng shuffle_rng{4321};
+    shuffle_rng.shuffle(shuffled);
+    std::cout << "arrival-order workload: " << ordered.size() << " flexible requests\n";
+    const std::size_t order_reps = args.quick ? 1 : std::max<std::size_t>(2, reps);
+    for (const auto& [label, spec] : {std::pair{std::string{"greedy"}, "greedy:minrate"},
+                                      std::pair{std::string{"window"},
+                                                "window:step=400,minrate"}}) {
+      const auto engine = heuristics::parse_scheduler(spec);
+      ScheduleResult in_order, out_of_order;
+      const RunningStats ordered_wall = time_runs(
+          order_reps, [&] { return engine.run(paper_network(), ordered); }, &in_order);
+      const RunningStats shuffled_wall = time_runs(
+          order_reps, [&] { return engine.run(paper_network(), shuffled); }, &out_of_order);
+      if (!same_schedule(in_order, out_of_order)) {
+        std::cerr << "FATAL: " << label << " decides differently on a shuffled trace\n";
+        return 1;
+      }
+      const std::string kernel = label + "@" + std::to_string(ordered.size());
+      const double ratio =
+          shuffled_wall.min() > 0.0 ? ordered_wall.min() / shuffled_wall.min() : 0.0;
+      table.add_row({kernel, "ordered", format_double(ordered_wall.mean(), 4), "1.00x",
+                     "-", "-", "-", "-"});
+      table.add_row({kernel, "shuffled", format_double(shuffled_wall.mean(), 4),
+                     format_double(ratio, 2) + "x", "-", "-", "-", "-"});
+      names.push_back(label + "-order/ordered");
+      walls.push_back(ordered_wall);
+      names.push_back(label + "-order/shuffled");
+      walls.push_back(shuffled_wall);
     }
   }
 

@@ -6,6 +6,7 @@
 
 #include "control/messages.hpp"
 #include "core/ledger.hpp"
+#include "heuristics/fcfs_order.hpp"
 #include "sim/simulator.hpp"
 
 namespace gridbw::control {
@@ -58,10 +59,8 @@ ControlPlaneReport run_control_plane(const OverlayTopology& topology,
     }
   };
 
-  std::vector<Request> order{requests.begin(), requests.end()};
-  sort_fcfs(order);
-
-  for (const Request& r : order) {
+  for (const Request* rp : heuristics::fcfs_order(requests)) {
+    const Request& r = *rp;
     // Client -> ingress router: the decision event.
     const std::size_t router = r.ingress.value;
     const Duration uplink = topology.site(router).local_latency;

@@ -32,14 +32,7 @@ Request RequestBuilder::build() const {
 }
 
 void sort_fcfs(std::vector<Request>& requests) {
-  // Stable with an id tie-break: colliding release times (batch arrivals,
-  // trace replays) must order identically regardless of input permutation.
-  std::stable_sort(requests.begin(), requests.end(),
-                   [](const Request& a, const Request& b) {
-                     if (a.release != b.release) return a.release < b.release;
-                     if (a.min_rate() != b.min_rate()) return a.min_rate() < b.min_rate();
-                     return a.id < b.id;
-                   });
+  std::stable_sort(requests.begin(), requests.end(), fcfs_before);
 }
 
 Bandwidth total_demand(std::span<const Request> requests) {

@@ -93,8 +93,33 @@ class RequestBuilder {
   Request request_;
 };
 
-/// Sorts requests by release time, breaking ties by ascending MinRate and
-/// then id (the FCFS service order of §4.1 / §5.1). Stable and total.
+/// Sort key of the FCFS service order of §4.1 / §5.1: release time, then
+/// ascending MinRate, then id. Its operator< is the one comparator every
+/// engine's arrival order uses (heuristics/fcfs_order.hpp).
+struct FcfsKey {
+  TimePoint release;
+  Bandwidth min_rate;
+  RequestId id{0};
+
+  friend bool operator<(const FcfsKey& a, const FcfsKey& b) {
+    if (a.release != b.release) return a.release < b.release;
+    if (a.min_rate != b.min_rate) return a.min_rate < b.min_rate;
+    return a.id < b.id;
+  }
+};
+
+[[nodiscard]] inline FcfsKey fcfs_key(const Request& r) {
+  return FcfsKey{r.release, r.min_rate(), r.id};
+}
+
+/// `a` is served before `b` in FCFS order.
+[[nodiscard]] inline bool fcfs_before(const Request& a, const Request& b) {
+  return fcfs_key(a) < fcfs_key(b);
+}
+
+/// Stable sort of `requests` by fcfs_before. Total with an id tie-break:
+/// colliding release times (batch arrivals, trace replays) order the same
+/// regardless of input permutation.
 void sort_fcfs(std::vector<Request>& requests);
 
 /// Total demanded bandwidth sum_{r} MinRate(r) — numerator of the paper's

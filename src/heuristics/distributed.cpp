@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "core/ledger.hpp"
+#include "heuristics/fcfs_order.hpp"
 
 namespace gridbw::heuristics {
 namespace {
@@ -30,17 +31,8 @@ DistributedResult schedule_flexible_distributed(const Network& network,
     throw std::invalid_argument{"schedule_flexible_distributed: negative sync period"};
   }
   DistributedResult out;
-  std::vector<Request> order;
-  order.reserve(requests.size());
-  for (const Request& r : requests) {
-    // A non-positive window has an infinite MinRate; reject it up front.
-    if (!(r.deadline > r.release)) {
-      out.result.rejected.push_back(r.id);
-      continue;
-    }
-    order.push_back(r);
-  }
-  sort_fcfs(order);
+  const std::vector<const Request*> order =
+      admission_order(requests, out.result, /*observer=*/nullptr);
 
   CounterLedger truth{network};  // ground-truth counters (ingress exact + egress exact)
   std::priority_queue<Completion, std::vector<Completion>, LaterFinish> completions;
@@ -60,7 +52,8 @@ DistributedResult schedule_flexible_distributed(const Network& network,
     }
   };
 
-  for (const Request& r : order) {
+  for (const Request* rp : order) {
+    const Request& r = *rp;
     while (!completions.empty() && completions.top().finish <= r.release) {
       const Completion done = completions.top();
       completions.pop();

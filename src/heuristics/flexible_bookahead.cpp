@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "core/ledger.hpp"
+#include "heuristics/fcfs_order.hpp"
 
 namespace gridbw::heuristics {
 
@@ -21,26 +22,13 @@ ScheduleResult schedule_flexible_bookahead(const Network& network,
   }
 
   ScheduleResult result;
-  std::vector<Request> order;
-  order.reserve(requests.size());
-  for (const Request& r : requests) {
-    obs::note_submitted(observer, r.id, r.release);
-    // A non-positive window has an infinite MinRate; reject it up front.
-    if (!(r.deadline > r.release)) {
-      result.rejected.push_back(r.id);
-      obs::note_rejected(observer, r.id, r.release,
-                         obs::RejectReason::kDegenerateWindow);
-      continue;
-    }
-    order.push_back(r);
-  }
-  sort_fcfs(order);
+  const std::vector<const Request*> order = admission_order(requests, result, observer);
   if (order.empty()) return result;
 
   NetworkLedger ledger{network};
   ledger.attach_observer(observer);
   std::size_t next_arrival = 0;
-  TimePoint interval_start = order.front().release;
+  TimePoint interval_start = order.front()->release;
 
   while (next_arrival < order.size()) {
     const TimePoint decision = interval_start + options.step;
@@ -49,8 +37,8 @@ ScheduleResult schedule_flexible_bookahead(const Network& network,
     // sort by MinRate (small demands first) — a simple stand-in for the
     // WINDOW cost that keeps the per-candidate placement scan independent.
     std::vector<const Request*> candidates;
-    while (next_arrival < order.size() && order[next_arrival].release < decision) {
-      candidates.push_back(&order[next_arrival++]);
+    while (next_arrival < order.size() && order[next_arrival]->release < decision) {
+      candidates.push_back(order[next_arrival++]);
     }
     std::sort(candidates.begin(), candidates.end(),
               [](const Request* a, const Request* b) {
@@ -84,7 +72,7 @@ ScheduleResult schedule_flexible_bookahead(const Network& network,
     }
 
     if (next_arrival < order.size()) {
-      interval_start = gridbw::max(decision, order[next_arrival].release);
+      interval_start = gridbw::max(decision, order[next_arrival]->release);
     }
   }
   return result;

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "core/ledger.hpp"
+#include "heuristics/fcfs_order.hpp"
 
 namespace gridbw::heuristics {
 namespace {
@@ -30,25 +31,13 @@ ScheduleResult schedule_flexible_greedy(const Network& network,
                                         BandwidthPolicy policy,
                                         obs::Observer* observer) {
   ScheduleResult result;
-  std::vector<Request> order;
-  order.reserve(requests.size());
-  for (const Request& r : requests) {
-    obs::note_submitted(observer, r.id, r.release);
-    // A non-positive window has an infinite MinRate; reject it up front.
-    if (!(r.deadline > r.release)) {
-      result.rejected.push_back(r.id);
-      obs::note_rejected(observer, r.id, r.release,
-                         obs::RejectReason::kDegenerateWindow);
-      continue;
-    }
-    order.push_back(r);
-  }
-  sort_fcfs(order);
+  const std::vector<const Request*> order = admission_order(requests, result, observer);
 
   CounterLedger counters{network};
   std::priority_queue<Completion, std::vector<Completion>, LaterFinish> completions;
 
-  for (const Request& r : order) {
+  for (const Request* rp : order) {
+    const Request& r = *rp;
     // Reclaim every transfer finished by this arrival instant.
     while (!completions.empty() && completions.top().finish <= r.release) {
       const Completion done = completions.top();

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/ledger.hpp"
+#include "heuristics/fcfs_order.hpp"
 
 namespace gridbw::heuristics {
 namespace {
@@ -231,21 +232,7 @@ ScheduleResult schedule_flexible_window(const Network& network,
   }
 
   ScheduleResult result;
-  std::vector<Request> order;
-  order.reserve(requests.size());
-  for (const Request& r : requests) {
-    obs::note_submitted(observer, r.id, r.release);
-    // Degenerate windows cannot carry any volume; reject them up front so
-    // their infinite MinRate never reaches the cost computations.
-    if (!(r.deadline > r.release)) {
-      result.rejected.push_back(r.id);
-      obs::note_rejected(observer, r.id, r.release,
-                         obs::RejectReason::kDegenerateWindow);
-      continue;
-    }
-    order.push_back(r);
-  }
-  sort_fcfs(order);
+  const std::vector<const Request*> order = admission_order(requests, result, observer);
   if (order.empty()) return result;
 
   CounterLedger counters{network};
@@ -255,15 +242,15 @@ ScheduleResult schedule_flexible_window(const Network& network,
   std::vector<HeapEntry> tie_scratch;
 
   std::size_t next_arrival = 0;
-  TimePoint interval_start = order.front().release;
+  TimePoint interval_start = order.front()->release;
 
   while (next_arrival < order.size()) {
     const TimePoint decision = interval_start + options.step;
 
     // Candidates: requests whose arrival lies inside [interval_start, decision).
     candidates.clear();
-    while (next_arrival < order.size() && order[next_arrival].release < decision) {
-      const Request& r = order[next_arrival++];
+    while (next_arrival < order.size() && order[next_arrival]->release < decision) {
+      const Request& r = *order[next_arrival++];
       const auto bw = options.policy.assign(r, decision);
       if (bw.has_value()) {
         candidates.push_back(Candidate{&r, *bw});
@@ -314,7 +301,7 @@ ScheduleResult schedule_flexible_window(const Network& network,
     // Next interval: contiguous tiling, but skip idle gaps so sparse
     // workloads do not spin through empty intervals.
     if (next_arrival < order.size()) {
-      interval_start = gridbw::max(decision, order[next_arrival].release);
+      interval_start = gridbw::max(decision, order[next_arrival]->release);
     }
   }
 

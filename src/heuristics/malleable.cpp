@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/ledger.hpp"
+#include "heuristics/fcfs_order.hpp"
 
 namespace gridbw::heuristics {
 namespace {
@@ -118,7 +119,10 @@ class FluidBook {
   void refill(TimePoint t) {
     live_scratch_.clear();
     for (std::size_t i = 0; i < flows_.size(); ++i) {
-      if (flows_[i].live) live_scratch_.push_back(i);
+      // A flow whose completion is due at `t` itself (simultaneous
+      // departures) ends here: it takes no share of the fill, and a step
+      // at `t` would leave it an empty last segment.
+      if (flows_[i].live && flows_[i].finish > t) live_scratch_.push_back(i);
     }
     if (live_scratch_.empty()) return;
     for (const std::size_t i : live_scratch_) {
@@ -141,9 +145,18 @@ class FluidBook {
       const double next = rates_[k];
       if (std::fabs(next - f.rate_bps) <= kStepEps) continue;
       f.rate_bps = next;
-      f.finish = t + Duration::seconds(f.remaining_bytes / next);
       const Bandwidth rate = Bandwidth::bytes_per_second(next);
       f.profile.append(t, rate);
+      // Reshapes at one instant that take the flow away and back to its
+      // rate coalesce the profile to one step, and accept_profile records a
+      // single-step profile as a constant assignment ending at
+      // start + vol/rate. Predict exactly that end: the rebased
+      // t + remaining/rate can land a few ulps earlier, reclaiming the
+      // capacity while the recorded transfer still holds it. (Never before
+      // `t`: completions must not run backwards past this reshape.)
+      f.finish = f.profile.size() == 1
+                     ? gridbw::max(t, f.profile.start() + f.request->volume / rate)
+                     : t + Duration::seconds(f.remaining_bytes / next);
       completions_.push(Completion{f.finish, f.request->id, f.request->ingress,
                                    f.request->egress, f.guarantee});
       obs::note_reshaped(observer_, f.request->id, t, rate);
@@ -289,24 +302,13 @@ ScheduleResult schedule_malleable_greedy(const Network& network,
                                          const MalleableOptions& options,
                                          obs::Observer* observer) {
   ScheduleResult result;
-  std::vector<Request> order;
-  order.reserve(requests.size());
-  for (const Request& r : requests) {
-    obs::note_submitted(observer, r.id, r.release);
-    if (!(r.deadline > r.release)) {
-      result.rejected.push_back(r.id);
-      obs::note_rejected(observer, r.id, r.release,
-                         obs::RejectReason::kDegenerateWindow);
-      continue;
-    }
-    order.push_back(r);
-  }
-  sort_fcfs(order);
+  const std::vector<const Request*> order = admission_order(requests, result, observer);
 
   CounterLedger counters{network};
   FluidBook book{network, options.reshape, observer, result};
 
-  for (const Request& r : order) {
+  for (const Request* rp : order) {
+    const Request& r = *rp;
     book.run_until(r.release, counters);
     const auto g = options.policy.assign(r, r.release);
     if (g.has_value() && counters.fits(r.ingress, r.egress, *g)) {
@@ -343,19 +345,7 @@ ScheduleResult schedule_malleable_window(const Network& network,
   }
 
   ScheduleResult result;
-  std::vector<Request> order;
-  order.reserve(requests.size());
-  for (const Request& r : requests) {
-    obs::note_submitted(observer, r.id, r.release);
-    if (!(r.deadline > r.release)) {
-      result.rejected.push_back(r.id);
-      obs::note_rejected(observer, r.id, r.release,
-                         obs::RejectReason::kDegenerateWindow);
-      continue;
-    }
-    order.push_back(r);
-  }
-  sort_fcfs(order);
+  const std::vector<const Request*> order = admission_order(requests, result, observer);
   if (order.empty()) return result;
 
   CounterLedger counters{network};
@@ -364,14 +354,14 @@ ScheduleResult schedule_malleable_window(const Network& network,
   std::vector<double> cost_scratch;
 
   std::size_t next_arrival = 0;
-  TimePoint interval_start = order.front().release;
+  TimePoint interval_start = order.front()->release;
 
   while (next_arrival < order.size()) {
     const TimePoint decision = interval_start + options.step;
 
     candidates.clear();
-    while (next_arrival < order.size() && order[next_arrival].release < decision) {
-      const Request& r = order[next_arrival++];
+    while (next_arrival < order.size() && order[next_arrival]->release < decision) {
+      const Request& r = *order[next_arrival++];
       const auto g = options.policy.assign(r, decision);
       if (g.has_value()) {
         candidates.push_back(Candidate{&r, *g});
@@ -426,7 +416,7 @@ ScheduleResult schedule_malleable_window(const Network& network,
     }
 
     if (next_arrival < order.size()) {
-      interval_start = gridbw::max(decision, order[next_arrival].release);
+      interval_start = gridbw::max(decision, order[next_arrival]->release);
     }
   }
   book.drain_all(counters);

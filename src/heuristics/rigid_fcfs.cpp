@@ -3,6 +3,7 @@
 #include <vector>
 
 #include "core/ledger.hpp"
+#include "heuristics/fcfs_order.hpp"
 
 namespace gridbw::heuristics {
 
@@ -10,24 +11,12 @@ ScheduleResult schedule_rigid_fcfs(const Network& network,
                                    std::span<const Request> requests,
                                    obs::Observer* observer) {
   ScheduleResult result;
-  std::vector<Request> order;
-  order.reserve(requests.size());
-  for (const Request& r : requests) {
-    obs::note_submitted(observer, r.id, r.release);
-    // A non-positive window has an infinite MinRate; reject it up front.
-    if (!(r.deadline > r.release)) {
-      result.rejected.push_back(r.id);
-      obs::note_rejected(observer, r.id, r.release,
-                         obs::RejectReason::kDegenerateWindow);
-      continue;
-    }
-    order.push_back(r);
-  }
-  sort_fcfs(order);
+  const std::vector<const Request*> order = admission_order(requests, result, observer);
 
   NetworkLedger ledger{network};
   ledger.attach_observer(observer);
-  for (const Request& r : order) {
+  for (const Request* rp : order) {
+    const Request& r = *rp;
     const Bandwidth bw = r.min_rate();  // rigid: the one admissible rate
     if (approx_le(bw, r.max_rate) &&
         ledger.fits(r.ingress, r.egress, r.release, r.deadline, bw)) {

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "heuristics/distributed.hpp"
@@ -30,6 +33,27 @@ std::vector<std::tuple<RequestId, double, double>> fingerprint(
   std::sort(rejected.begin(), rejected.end());
   for (RequestId id : rejected) out.emplace_back(id, -1.0, -1.0);
   return out;
+}
+
+/// Every registry engine that serves requests in the FCFS arrival order
+/// (heuristics/fcfs_order.hpp).
+constexpr const char* kFcfsOrderSpecs[] = {"fcfs",
+                                           "greedy:f=1",
+                                           "greedy:minrate",
+                                           "window:step=100,f=0.8",
+                                           "window:step=10,minrate",
+                                           "bookahead:step=100,ahead=4,f=1",
+                                           "mgreedy:minrate",
+                                           "mwindow:step=100,minrate"};
+
+/// Outcome of the distributed engine (which is not in the registry),
+/// egress conflicts included.
+std::pair<std::vector<std::tuple<RequestId, double, double>>, std::size_t>
+distributed_fingerprint(const Network& network, std::span<const Request> requests) {
+  heuristics::DistributedOptions options;
+  options.sync_period = Duration::seconds(30);
+  const auto out = heuristics::schedule_flexible_distributed(network, requests, options);
+  return {fingerprint(out.result), out.egress_conflicts};
 }
 
 class SchedulerDeterminism : public ::testing::TestWithParam<const char*> {};
@@ -63,12 +87,71 @@ TEST(SchedulerDeterminism, InputOrderDoesNotMatter) {
   auto shuffled = requests;
   rng.shuffle(shuffled);
 
-  for (const char* spec : {"greedy:f=1", "window:step=100,f=0.8", "minbw"}) {
+  for (const char* spec : kFcfsOrderSpecs) {
     const auto scheduler = heuristics::parse_scheduler(spec);
     const auto a = scheduler.run(scenario.network, requests);
     const auto b = scheduler.run(scenario.network, shuffled);
     EXPECT_EQ(fingerprint(a), fingerprint(b)) << spec;
   }
+  const auto minbw = heuristics::parse_scheduler("minbw");
+  EXPECT_EQ(fingerprint(minbw.run(scenario.network, requests)),
+            fingerprint(minbw.run(scenario.network, shuffled)));
+  EXPECT_EQ(distributed_fingerprint(scenario.network, requests),
+            distributed_fingerprint(scenario.network, shuffled));
+}
+
+TEST(SchedulerDeterminism, TieHeavyTraceGivesOneOutcomeInEveryInputOrder) {
+  // Integer-second releases with repeated volumes and windows: equal
+  // releases and equal MinRates both occur, so the FCFS order leans on the
+  // MinRate and id tie-breaks. Three inputs of the same requests:
+  //  * FCFS-ordered (the linear fast path of the arrival order);
+  //  * release-ordered with ties shuffled (out of FCFS order: the sort path);
+  //  * fully shuffled (the sort path).
+  const Network net = Network::uniform(4, 4, Bandwidth::gigabytes_per_second(1));
+  Rng rng{805};
+  std::vector<Request> ordered;
+  for (RequestId id = 1; id <= 600; ++id) {
+    const double release = static_cast<double>(rng.uniform_int(0, 60));
+    const double window = 20.0 * static_cast<double>(rng.uniform_int(1, 3));
+    const Volume volume = Volume::gigabytes(static_cast<double>(rng.uniform_int(1, 3)));
+    const double slack = static_cast<double>(rng.uniform_int(1, 2));
+    ordered.push_back(
+        RequestBuilder{id}
+            .from(IngressId{static_cast<std::size_t>(rng.uniform_int(0, 3))})
+            .to(EgressId{static_cast<std::size_t>(rng.uniform_int(0, 3))})
+            .window(TimePoint::at_seconds(release), TimePoint::at_seconds(release + window))
+            .volume(volume)
+            .max_rate(volume / Duration::seconds(window) * slack)
+            .build());
+  }
+  sort_fcfs(ordered);
+  std::size_t release_ties = 0;
+  std::size_t min_rate_ties = 0;
+  for (std::size_t k = 1; k < ordered.size(); ++k) {
+    if (ordered[k].release != ordered[k - 1].release) continue;
+    ++release_ties;
+    if (ordered[k].min_rate() == ordered[k - 1].min_rate()) ++min_rate_ties;
+  }
+  ASSERT_GT(release_ties, 100u);
+  ASSERT_GT(min_rate_ties, 20u);
+
+  auto release_only = ordered;
+  rng.shuffle(release_only);
+  std::stable_sort(release_only.begin(), release_only.end(),
+                   [](const Request& a, const Request& b) { return a.release < b.release; });
+  ASSERT_FALSE(std::is_sorted(release_only.begin(), release_only.end(), fcfs_before));
+  auto shuffled = ordered;
+  rng.shuffle(shuffled);
+
+  for (const char* spec : kFcfsOrderSpecs) {
+    const auto scheduler = heuristics::parse_scheduler(spec);
+    const auto a = fingerprint(scheduler.run(net, ordered));
+    EXPECT_EQ(a, fingerprint(scheduler.run(net, release_only))) << spec;
+    EXPECT_EQ(a, fingerprint(scheduler.run(net, shuffled))) << spec;
+  }
+  const auto d = distributed_fingerprint(net, ordered);
+  EXPECT_EQ(d, distributed_fingerprint(net, release_only));
+  EXPECT_EQ(d, distributed_fingerprint(net, shuffled));
 }
 
 TEST(SchedulerDeterminism, RetryAndDistributedAreDeterministic) {

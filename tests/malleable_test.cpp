@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -26,6 +27,7 @@
 #include "obs/observer.hpp"
 #include "obs/trace_sink.hpp"
 #include "workload/generator.hpp"
+#include "workload/load.hpp"
 #include "workload/scenario.hpp"
 
 namespace gridbw::heuristics {
@@ -184,6 +186,65 @@ TEST(Malleable, ProfilesFinishNoLaterThanTheConstantPromise) {
                 1.0 + 1e-9 * r.volume.to_bytes());
   }
   EXPECT_GT(profiled, 0u) << "workload never triggered a reshape";
+}
+
+TEST(Malleable, ReshapesThatCoalesceToOneStepStayWithinCapacity) {
+  // Regression: refills at one instant that take a flow from rate X to Y
+  // and back to X coalesce its profile to a single step, which the schedule
+  // records as a constant assignment ending at start + vol/X. The fluid
+  // book used to predict the rebased t + remaining/X instead, a few ulps
+  // earlier, and refilled a neighbour into capacity the recorded transfer
+  // still held (seed 59: an ingress at 1.06 GB/s; seed 1602: 1.04 GB/s).
+  // §5.3 platform at offered load 3, 5000 requests.
+  for (const std::uint64_t seed : {59u, 1602u}) {
+    workload::Scenario scenario = workload::paper_flexible(
+        Duration::seconds(1), Duration::seconds(1), 4.0);
+    scenario.spec.mean_interarrival =
+        workload::interarrival_for_load(scenario.spec, scenario.network, 3.0);
+    scenario.spec.horizon = scenario.spec.mean_interarrival * 5000.0;
+    Rng rng{seed};
+    auto requests = workload::generate(scenario.spec, rng);
+    requests.resize(std::min<std::size_t>(requests.size(), 5000));
+
+    obs::MemorySink sink;
+    obs::Observer observer{&sink, nullptr};
+    const auto result =
+        schedule_malleable_window(scenario.network, requests, MalleableOptions{}, &observer);
+    const auto report = validate_schedule(scenario.network, requests, result.schedule);
+    EXPECT_TRUE(report.ok()) << "seed " << seed << ": " << report.to_string();
+
+    // The trace must contain the case: a flow reshaped after its start
+    // whose recorded assignment is nonetheless constant.
+    std::size_t coalesced = 0;
+    for (const obs::AdmissionEvent& e : sink.events()) {
+      if (e.kind != obs::EventKind::kReshaped) continue;
+      const auto a = result.schedule.assignment(e.request);
+      if (a.has_value() && !a->is_profiled() && a->start < e.when) ++coalesced;
+    }
+    EXPECT_GT(coalesced, 0u) << "seed " << seed;
+  }
+}
+
+TEST(Malleable, SimultaneousDeparturesCloseEveryProfile) {
+  // Two flows share an ingress at their 50 MB/s guarantees and both finish
+  // at t = 10 s. The first departure frees capacity at the instant the
+  // second one ends: the second must not be reshaped into an empty last
+  // segment [10 s, 10 s), which Schedule::accept_profile rejects.
+  const Network net{{mbps(100)}, {mbps(100), mbps(100)}};
+  const std::vector<Request> requests{transfer(1, 0, 10, 500, 100, 0, 0),
+                                      transfer(2, 0, 10, 500, 100, 0, 1)};
+  MalleableOptions opt;
+  opt.policy = BandwidthPolicy::min_rate();
+  ScheduleResult result;
+  ASSERT_NO_THROW(result = schedule_malleable_greedy(net, requests, opt));
+  EXPECT_EQ(result.accepted_count(), 2u);
+  const auto report = validate_schedule(net, requests, result.schedule);
+  EXPECT_TRUE(report.ok()) << report.to_string();
+  for (const Request& r : requests) {
+    const auto a = result.schedule.assignment(r.id);
+    ASSERT_TRUE(a.has_value());
+    EXPECT_EQ(a->end(r), at(10)) << "r" << r.id;
+  }
 }
 
 // -- reshape=true: the gain --------------------------------------------------
