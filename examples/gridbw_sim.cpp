@@ -150,13 +150,14 @@ int main(int argc, char** argv) {
               << " s, max " << format_double(wait.max(), 1) << " s\n";
   }
 
-  // Distribution of granted rates, as a histogram over MB/s.
-  Histogram rates{0.0, 1000.0, 10};
+  RunningStats rates;
   for (const Assignment& a : result.schedule.assignments()) {
     rates.add(a.bw.to_megabytes_per_second());
   }
-  if (rates.total_count() > 0) {
-    std::cout << "\ngranted rates (MB/s):\n" << rates.render(36);
+  if (rates.count() > 0) {
+    std::cout << "granted rate       : mean " << format_double(rates.mean(), 1)
+              << " MB/s, min " << format_double(rates.min(), 1) << ", max "
+              << format_double(rates.max(), 1) << "\n";
   }
 
   if (flags.has("schedule-out")) {

@@ -28,8 +28,7 @@ NetworkLedger::NetworkLedger(const Network& network) {
 // gridbw:hot
 bool NetworkLedger::fits(IngressId i, EgressId e, TimePoint t0, TimePoint t1,
                          Bandwidth bw) const {
-  const bool ok = ingress_[i.value].fits(t0, t1, bw, observer_) &&
-                  egress_[e.value].fits(t0, t1, bw, observer_);
+  const bool ok = ingress_[i.value].fits(t0, t1, bw) && egress_[e.value].fits(t0, t1, bw);
   if (observer_ != nullptr) {
     observer_->count(obs::Counter::kLedgerFitsChecks);
     if (!ok) observer_->count(obs::Counter::kLedgerFitsRejected);
@@ -76,15 +75,6 @@ std::size_t NetworkLedger::resident_breakpoints() const {
   for (const PortBook& book : ingress_) total += book.profile().breakpoint_count();
   for (const PortBook& book : egress_) total += book.profile().breakpoint_count();
   return total;
-}
-
-Bandwidth NetworkLedger::headroom(IngressId i, EgressId e, TimePoint t0,
-                                  TimePoint t1) const {
-  const PortBook& in = ingress_.at(i.value);
-  const PortBook& out = egress_.at(e.value);
-  const double in_room = in.capacity().to_bytes_per_second() - in.peak_over(t0, t1);
-  const double out_room = out.capacity().to_bytes_per_second() - out.peak_over(t0, t1);
-  return Bandwidth::bytes_per_second(std::max(0.0, std::min(in_room, out_room)));
 }
 
 CounterLedger::CounterLedger(const Network& network)

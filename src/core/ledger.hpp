@@ -3,7 +3,7 @@
 // Two bandwidth-accounting books:
 //
 //  * NetworkLedger — the exact, time-aware book. Each port is a PortBook
-//    (flat TimelineProfile + amortized ResidualIndex + GC policy, see
+//    (flat TimelineProfile + one scan fit predicate + GC policy, see
 //    core/port_book.hpp); `fits` asks whether an extra `bw` over [t0, t1)
 //    would exceed the port capacity anywhere. Used by the rigid heuristics
 //    (whose reservations span arbitrary future windows), the BOOK-AHEAD
@@ -36,10 +36,9 @@ namespace gridbw {
 
 /// Exact time-aware allocation book over all ports of a network.
 ///
-/// Thread safety: like TimelineProfile queries, `fits` and `headroom` may
-/// mutate mutable acceleration state (lazy merges, residual-index upkeep)
-/// even though they are const. A NetworkLedger must not be shared across
-/// threads; every scheduling engine owns its own instance.
+/// Thread safety: like TimelineProfile queries, `fits` may run the
+/// profile's lazy merge even though it is const. A NetworkLedger must not be
+/// shared across threads; every scheduling engine owns its own instance.
 class NetworkLedger {
  public:
   explicit NetworkLedger(const Network& network);
@@ -49,13 +48,13 @@ class NetworkLedger {
   [[nodiscard]] bool fits(IngressId i, EgressId e, TimePoint t0, TimePoint t1,
                           Bandwidth bw) const;
 
-  /// Per-port halves of `fits`, for rejection-reason classification. Pure
-  /// scans: no index upkeep, no observer counters.
+  /// Per-port halves of `fits`, for rejection-reason classification. No
+  /// observer counters.
   [[nodiscard]] bool fits_ingress(IngressId i, TimePoint t0, TimePoint t1, Bandwidth bw) const {
-    return ingress_.at(i.value).fits_by_scan(t0, t1, bw);
+    return ingress_.at(i.value).fits(t0, t1, bw);
   }
   [[nodiscard]] bool fits_egress(EgressId e, TimePoint t0, TimePoint t1, Bandwidth bw) const {
-    return egress_.at(e.value).fits_by_scan(t0, t1, bw);
+    return egress_.at(e.value).fits(t0, t1, bw);
   }
 
   /// Commits `bw` on (i, e) over [t0, t1). Does not re-check `fits`.
@@ -63,10 +62,6 @@ class NetworkLedger {
 
   /// Reverses a previous `reserve` with identical arguments.
   void release(IngressId i, EgressId e, TimePoint t0, TimePoint t1, Bandwidth bw);
-
-  /// Remaining headroom min over [t0, t1) across the two ports.
-  [[nodiscard]] Bandwidth headroom(IngressId i, EgressId e, TimePoint t0,
-                                   TimePoint t1) const;
 
   [[nodiscard]] const TimelineProfile& ingress_profile(IngressId i) const {
     return ingress_.at(i.value).profile();

@@ -92,9 +92,10 @@ class TimelineProfile {
   /// Times at which the function changes value, in increasing order.
   [[nodiscard]] std::vector<TimePoint> breakpoints() const;
 
-  /// Zero-copy views of the merged SoA arrays (for ResidualIndex snapshots):
-  /// breakpoint instants and the prefix-sum value holding on
-  /// [times[k], times[k+1]). Merges pending first; invalidated by any write.
+  /// Zero-copy views of the merged SoA arrays: breakpoint instants and the
+  /// prefix-sum value holding on [times[k], times[k+1]). Merges pending
+  /// first; invalidated by any write. For differential tests that compare
+  /// two profiles' storage, cancelled breakpoints included.
   [[nodiscard]] std::span<const double> merged_times_view() const;
   [[nodiscard]] std::span<const double> merged_values_view() const;
 

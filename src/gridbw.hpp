@@ -23,7 +23,6 @@
 
 #include "util/config.hpp"
 #include "util/flags.hpp"
-#include "util/histogram.hpp"
 #include "util/quantity.hpp"
 #include "util/random.hpp"
 #include "util/stats.hpp"

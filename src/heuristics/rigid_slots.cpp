@@ -178,12 +178,12 @@ ScheduleResult sweep_rebuild(const Network& network, std::span<const Request> re
 }
 
 /// Slice-boundary bookkeeping shared by the two incremental sweeps: the
-/// release-order arrival cursor, a min-heap of (deadline, k) over every
-/// request that entered the active set, and the skip rule. Entries of
-/// retro-removed requests stay in the heap; they only make their deadline's
-/// slice count as non-skipped, and the sweeps ignore them when popped. All
-/// storage is reserved for the full request set, so the sweeps' slice loops
-/// never allocate.
+/// release-order arrival cursor and a min-heap of (deadline, k) over every
+/// request that entered the active set. Entries of retro-removed requests
+/// stay in the heap and the sweeps ignore them when popped. No slice is ever
+/// idle: every boundary is a live request's release (a newcomer) or an
+/// entered request's deadline (a departure due). All storage is reserved
+/// for the full request set, so the sweeps' slice loops never allocate.
 class SliceEvents {
  public:
   SliceEvents(std::span<const Request> requests, const SweepSetup& s)
@@ -194,11 +194,8 @@ class SliceEvents {
 
   /// Opens slice [t1, t2): gathers the live arrivals due by t1 that outlive
   /// t2 and enters them into the departure heap (their deadlines are >= t2,
-  /// so none is due in this slice). Returns false when the slice changes
-  /// nothing — no arrival, no departure due, no retro-removal in the
-  /// previous slice — so the previous decisions stand and the slice is
-  /// skipped.
-  bool open(TimePoint t1, TimePoint t2, SlotsTelemetry* telemetry) {
+  /// so none is due in this slice).
+  void open(TimePoint t1, TimePoint t2, SlotsTelemetry* telemetry) {
     if (telemetry != nullptr) ++telemetry->slices;
     t2_ = t2.to_seconds();
     newcomers_.clear();
@@ -210,14 +207,6 @@ class SliceEvents {
       departures_.emplace_back(requests_[k].deadline.to_seconds(), k);
       std::push_heap(departures_.begin(), departures_.end(), std::greater<>{});
     }
-    const bool departures_due =
-        !departures_.empty() && departures_.front().first < t2_;
-    if (newcomers_.empty() && !departures_due && !dirty) {
-      if (telemetry != nullptr) ++telemetry->skipped_slices;
-      return false;
-    }
-    dirty = false;
-    return true;
   }
 
   /// Pops the next request whose deadline falls before the slice's end, in
@@ -231,10 +220,6 @@ class SliceEvents {
   }
 
   [[nodiscard]] std::vector<std::size_t>& newcomers() { return newcomers_; }
-
-  /// Set by a sweep that retro-removed a request during this slice: the
-  /// next slice is then processed even if its membership did not change.
-  bool dirty = false;
 
  private:
   std::span<const Request> requests_;
@@ -308,13 +293,12 @@ ScheduleResult sweep_incremental(const Network& network,
     s.alive[k] = 0;  // permanent
     member[k] = 0;
     --live;
-    events.dirty = true;
     if (observer != nullptr) removed_at[k] = at;
   };
 
   for (std::size_t b = 0; b + 1 < s.boundaries.size(); ++b) {
     const TimePoint t1 = s.boundaries[b];
-    if (!events.open(t1, s.boundaries[b + 1], telemetry)) continue;
+    events.open(t1, s.boundaries[b + 1], telemetry);
 
     // Departures. Dropping a member only frees capacity, and every
     // surviving member is currently admitted (jointly feasible), so
@@ -568,7 +552,7 @@ ScheduleResult sweep_cumulated(const Network& network,
 
   for (std::size_t b = 0; b + 1 < s.boundaries.size(); ++b) {
     const TimePoint t1 = s.boundaries[b];
-    if (!events.open(t1, s.boundaries[b + 1], telemetry)) continue;
+    events.open(t1, s.boundaries[b + 1], telemetry);
 
     for (std::size_t k = events.pop_departure(); k != kNone; k = events.pop_departure()) {
       if (!a.member[k]) continue;  // entry of a retro-removed request
@@ -631,7 +615,6 @@ ScheduleResult sweep_cumulated(const Network& network,
       a.member[k] = 0;
       --live;
       s.alive[k] = 0;  // retro-removal, permanent
-      events.dirty = true;
       if (observer != nullptr) removed_at[k] = t1;
     }
 

@@ -54,7 +54,9 @@ enum class SlotsEngine {
 /// timing tables (slices/sec).
 struct SlotsTelemetry {
   std::size_t slices{0};            ///< slice boundaries visited
-  std::size_t skipped_slices{0};    ///< slices with no admission-relevant change
+  /// Always 0: no slice is idle (every boundary brings an arrival or a
+  /// departure). Kept while the repo benchmark still reports it.
+  std::size_t skipped_slices{0};
   std::size_t admission_checks{0};  ///< fits/allocate decisions evaluated
 };
 

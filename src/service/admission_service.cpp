@@ -199,10 +199,8 @@ struct AdmissionService::Impl {
     PortCell& eg = cells[cell_of_egress(r.egress)];
     const Bandwidth bw = Bandwidth::bytes_per_second(rate[ev.req]);
     // Both ports are probed (no short-circuit) to classify the rejection.
-    // By scan, not index: nearly every admission adds new endpoints, which
-    // leaves a port's index stale after each commit, so rebuilds never pay.
-    const bool in_fits = in.book.fits_by_scan(r.release, r.deadline, bw);
-    const bool eg_fits = eg.book.fits_by_scan(r.release, r.deadline, bw);
+    const bool in_fits = in.book.fits(r.release, r.deadline, bw);
+    const bool eg_fits = eg.book.fits(r.release, r.deadline, bw);
     if (!in_fits || !eg_fits) {
       reason[ev.req] =
           static_cast<std::uint8_t>(obs::classify_saturation(in_fits, eg_fits));

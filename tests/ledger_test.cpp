@@ -4,6 +4,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <span>
+#include <vector>
+
+#include "core/step_function.hpp"
+#include "util/random.hpp"
+#include "workload/generator.hpp"
+#include "workload/load.hpp"
+#include "workload/scenario.hpp"
+
 namespace gridbw {
 namespace {
 
@@ -41,18 +52,6 @@ TEST_F(NetworkLedgerTest, ReleaseRestoresHeadroom) {
   EXPECT_TRUE(ledger_.fits(IngressId{0}, EgressId{0}, at(0), at(10), mbps(100)));
 }
 
-TEST_F(NetworkLedgerTest, HeadroomIsMinAcrossPortsAndTime) {
-  ledger_.reserve(IngressId{0}, EgressId{0}, at(0), at(10), mbps(30));
-  ledger_.reserve(IngressId{1}, EgressId{0}, at(5), at(15), mbps(20));
-  // Ingress 0 has 70 free; egress 0 has 50 free on [5,10).
-  EXPECT_DOUBLE_EQ(
-      ledger_.headroom(IngressId{0}, EgressId{0}, at(5), at(10)).to_megabytes_per_second(),
-      50.0);
-  EXPECT_DOUBLE_EQ(
-      ledger_.headroom(IngressId{0}, EgressId{0}, at(0), at(5)).to_megabytes_per_second(),
-      70.0);
-}
-
 TEST_F(NetworkLedgerTest, ExactFillAcceptedWithinTolerance) {
   ledger_.reserve(IngressId{0}, EgressId{0}, at(0), at(10), mbps(60));
   ledger_.reserve(IngressId{0}, EgressId{0}, at(0), at(10), mbps(40));
@@ -66,6 +65,102 @@ TEST_F(NetworkLedgerTest, ProfilesAreExposedForInspection) {
   EXPECT_DOUBLE_EQ(ledger_.ingress_profile(IngressId{1}).value_at(at(3)), 1e7);
   EXPECT_DOUBLE_EQ(ledger_.egress_profile(EgressId{0}).value_at(at(3)), 1e7);
   EXPECT_DOUBLE_EQ(ledger_.ingress_profile(IngressId{0}).value_at(at(3)), 0.0);
+}
+
+/// Drives an FCFS-style admit/release sequence over `requests`, mirroring
+/// every reservation into per-port StepFunction oracles, and checks each
+/// `fits` against approx_le over the oracles' peaks.
+void check_fits_against_oracle(const Network& network, std::span<const Request> requests) {
+  NetworkLedger ledger{network};
+  std::vector<StepFunction> in_oracle(network.ingress_count());
+  std::vector<StepFunction> out_oracle(network.egress_count());
+  const auto mirror = [&](const Request& r, double bw) {
+    in_oracle[r.ingress.value].add(r.release, r.deadline, bw);
+    out_oracle[r.egress.value].add(r.release, r.deadline, bw);
+  };
+  std::size_t admitted = 0;
+  std::size_t rejected = 0;
+  for (const Request& r : requests) {
+    if (!(r.deadline > r.release)) continue;
+    const Bandwidth bw = r.min_rate();
+    const double b = bw.to_bytes_per_second();
+    const bool want =
+        approx_le(Bandwidth::bytes_per_second(
+                      in_oracle[r.ingress.value].max_over(r.release, r.deadline) + b),
+                  network.ingress_capacity(r.ingress)) &&
+        approx_le(Bandwidth::bytes_per_second(
+                      out_oracle[r.egress.value].max_over(r.release, r.deadline) + b),
+                  network.egress_capacity(r.egress));
+    ASSERT_EQ(ledger.fits(r.ingress, r.egress, r.release, r.deadline, bw), want)
+        << r.describe();
+    if (!want) {
+      ++rejected;
+      continue;
+    }
+    ledger.reserve(r.ingress, r.egress, r.release, r.deadline, bw);
+    mirror(r, b);
+    ++admitted;
+    // Exercise release on a third of admissions.
+    if (admitted % 3 == 0) {
+      ledger.release(r.ingress, r.egress, r.release, r.deadline, bw);
+      mirror(r, -b);
+    }
+  }
+  EXPECT_GT(admitted, 0u);
+  EXPECT_GT(rejected, 0u);
+}
+
+TEST(NetworkLedgerFitTest, FitsMatchesStepFunctionOracleOnFig4Workloads) {
+  for (const std::uint64_t seed : {11u, 4242u, 987654321u}) {
+    workload::Scenario scenario =
+        workload::paper_rigid(Duration::seconds(1), Duration::seconds(1));
+    scenario.spec.mean_interarrival =
+        workload::interarrival_for_load(scenario.spec, scenario.network, 3.0);
+    scenario.spec.horizon = scenario.spec.mean_interarrival * 10000.0;
+    Rng rng{seed};
+    auto requests = workload::generate(scenario.spec, rng);
+    requests.resize(std::min<std::size_t>(requests.size(), 10000));
+    ASSERT_GT(requests.size(), 1000u) << "seed=" << seed;
+    check_fits_against_oracle(scenario.network, requests);
+  }
+}
+
+TEST(NetworkLedgerFitTest, EffectivelyZeroCapacityPortsNeverAdmit) {
+  // Network requires positive capacities, so "zero-capacity port" means a
+  // capacity below the admission tolerance (1 byte/s): nothing above the
+  // tolerance can ever fit, on a dense profile of sub-capacity reservations.
+  const Network net = Network::uniform(2, 2, Bandwidth::bytes_per_second(1e-3));
+  NetworkLedger ledger{net};
+  for (int k = 0; k < 200; ++k) {
+    ledger.reserve(IngressId{0}, EgressId{0}, at(k), at(k + 1),
+                   Bandwidth::bytes_per_second(1e-6));
+  }
+  for (int k = 0; k < 500; ++k) {
+    EXPECT_FALSE(ledger.fits(IngressId{0}, EgressId{0}, at(k % 100), at(k % 100 + 5),
+                             Bandwidth::bytes_per_second(2.0)));
+    EXPECT_TRUE(ledger.fits(IngressId{0}, EgressId{0}, at(k % 100), at(k % 100 + 5),
+                            Bandwidth::zero()));
+  }
+}
+
+TEST(NetworkLedgerFitTest, SliverWindowsReleaseEqualsDeadline) {
+  const Network net = Network::uniform(2, 2, mbps(100));
+  NetworkLedger ledger{net};
+  for (int k = 0; k < 300; ++k) {
+    ledger.reserve(IngressId{0}, EgressId{0}, at(k), at(k + 2), mbps(1));
+  }
+  for (int k = 0; k < 300; ++k) {
+    const TimePoint t = at(k + 0.5);
+    // Zero-width [t, t) windows (release == deadline slivers): a rate that
+    // fits next to the standing load, and one that exceeds the port outright.
+    for (const double mb : {50.0, 500.0}) {
+      const bool want = mb <= 99.0;  // 1 MB/s standing load on a 100 MB/s port
+      EXPECT_EQ(ledger.fits(IngressId{0}, EgressId{0}, t, t, mbps(mb)), want)
+          << "t=" << t.to_seconds() << " bw=" << mb;
+      EXPECT_EQ(ledger.fits_ingress(IngressId{0}, t, t, mbps(mb)), want);
+      EXPECT_EQ(ledger.fits_egress(EgressId{0}, t, t, mbps(mb)), want);
+    }
+  }
 }
 
 class CounterLedgerTest : public ::testing::Test {

@@ -2,9 +2,9 @@
 // admission service. Pinned here:
 //
 //  * the fit predicate sits exactly on approx_le's bandwidth tolerance
-//    (capacity + 1 B/s + 1e-9 * capacity), through both the indexed and the
-//    scan-only entry point;
-//  * the indexed `fits` decides like the scan on every probe;
+//    (capacity + 1 B/s + 1e-9 * capacity);
+//  * `fits` decides like a StepFunction oracle fed the same commits and
+//    releases, across GC folds, on probes at and around the threshold;
 //  * the GC policy folds only a batch that is at least half the residents;
 //  * one predicate, one decision: on a trace whose loads sit at capacity
 //    and just either side of the tolerance, the 1-shard AdmissionService
@@ -14,10 +14,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <tuple>
 #include <vector>
 
 #include "core/network.hpp"
+#include "core/step_function.hpp"
 #include "heuristics/rigid_fcfs.hpp"
 #include "obs/counters.hpp"
 #include "service/admission_service.hpp"
@@ -37,39 +40,80 @@ TEST(PortBook, FitPredicateIsApproxLeOnBothEntryPoints) {
   PortBook book{bps(kCap)};
   for (const double extra : {0.0, 0.5, 1.0, 1.5, 2.0}) {
     const bool expected = approx_le(bps(kCap + extra), bps(kCap));
-    EXPECT_EQ(book.fits(at(0), at(10), bps(kCap + extra), nullptr), expected) << extra;
-    EXPECT_EQ(book.fits_by_scan(at(0), at(10), bps(kCap + extra)), expected) << extra;
+    EXPECT_EQ(book.fits(at(0), at(10), bps(kCap + extra)), expected) << extra;
   }
-  EXPECT_TRUE(book.fits(at(0), at(10), bps(kCap + 0.5), nullptr));
-  EXPECT_FALSE(book.fits(at(0), at(10), bps(kCap + 1.5), nullptr));
+  EXPECT_TRUE(book.fits(at(0), at(10), bps(kCap + 0.5)));
+  EXPECT_FALSE(book.fits(at(0), at(10), bps(kCap + 1.5)));
 
   book.commit(at(2), at(4), bps(kCap / 2));
-  EXPECT_TRUE(book.fits(at(0), at(10), bps(kCap / 2 + 0.5), nullptr));
-  EXPECT_FALSE(book.fits(at(0), at(10), bps(kCap / 2 + 1.5), nullptr));
-  EXPECT_TRUE(book.fits(at(4), at(10), bps(kCap), nullptr));  // half-open
+  EXPECT_TRUE(book.fits(at(0), at(10), bps(kCap / 2 + 0.5)));
+  EXPECT_FALSE(book.fits(at(0), at(10), bps(kCap / 2 + 1.5)));
+  EXPECT_TRUE(book.fits(at(4), at(10), bps(kCap)));  // half-open
   book.release(at(2), at(4), bps(kCap / 2));
   EXPECT_EQ(book.profile().max_over(at(0), at(10)), 0.0);
 }
 
-TEST(PortBook, IndexedFitsDecidesLikeTheScan) {
+TEST(PortBook, FitsMatchesStepFunctionOracle) {
+  // Random commits, releases and GC folds on an integer grid (endpoints keep
+  // landing on existing instants and releases cancel deltas to 0.0), every
+  // write mirrored into a StepFunction. A reservation the clock has passed
+  // is never released, so only the releasable ones bound the GC horizon.
+  // Each probe asks for exactly the limit, or for the headroom plus up to
+  // 2 B/s either way, so decisions sit on the tolerance edge; windows start
+  // at or after the GC horizon, where a fold leaves the profile
+  // bit-identical to the oracle.
   PortBook book{bps(kCap)};
-  obs::CounterRegistry counters;
-  obs::Observer observer{nullptr, &counters};
+  StepFunction oracle;
+  std::vector<std::tuple<double, double, double>> live;  // releasable: lo, hi, bw
   Rng rng{42};
-  for (int k = 0; k < 200; ++k) {
-    const double lo = static_cast<double>(rng.uniform_int(0, 400));
-    book.commit(at(lo), at(lo + static_cast<double>(rng.uniform_int(1, 30))),
-                bps(rng.uniform(0.0, kCap / 20)));
+  double clock = 0.0;
+  double horizon = 0.0;
+  std::size_t retired = 0;
+  std::size_t probes = 0;
+  std::size_t admitted = 0;
+  std::size_t rejected = 0;
+  for (int step = 0; step < 20000; ++step) {
+    const std::int64_t op = rng.uniform_int(0, 9);
+    if (op < 4) {
+      const double lo = clock + static_cast<double>(rng.uniform_int(0, 40));
+      const double hi = lo + static_cast<double>(rng.uniform_int(1, 30));
+      const double bw = rng.uniform(0.0, kCap / 20);
+      book.commit(at(lo), at(hi), bps(bw));
+      oracle.add(at(lo), at(hi), bw);
+      live.emplace_back(lo, hi, bw);
+    } else if (op < 6 && !live.empty()) {
+      const auto pick = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1));
+      const auto [lo, hi, bw] = live[pick];
+      book.release(at(lo), at(hi), bps(bw));
+      oracle.add(at(lo), at(hi), -bw);
+      live[pick] = live.back();
+      live.pop_back();
+    } else if (op == 6) {
+      clock += 1.0;
+      std::erase_if(live, [clock](const auto& r) { return std::get<1>(r) <= clock; });
+      // Safe horizon: no later commit or release lands before it.
+      double h = clock;
+      for (const auto& [lo, hi, bw] : live) h = std::min(h, lo);
+      horizon = std::max(horizon, h);
+      retired += book.collect(at(horizon), nullptr);
+    } else {
+      const double lo = horizon + static_cast<double>(rng.uniform_int(0, 60));
+      const TimePoint t0 = at(lo);
+      const TimePoint t1 = at(lo + static_cast<double>(rng.uniform_int(1, 80)));
+      const double peak = oracle.max_over(t0, t1);
+      double add = approx_le_limit(bps(kCap)) - peak;  // exactly on the limit
+      if (rng.uniform_int(0, 2) != 0) add = kCap - peak + rng.uniform(-2.0, 2.0);
+      const bool want = approx_le(bps(peak + add), bps(kCap));
+      ASSERT_EQ(book.fits(t0, t1, bps(add)), want) << "step " << step;
+      ++probes;
+      ++(want ? admitted : rejected);
+    }
   }
-  for (int k = 0; k < 5000; ++k) {
-    const double lo = static_cast<double>(rng.uniform_int(0, 400));
-    const TimePoint t0 = at(lo);
-    const TimePoint t1 = at(lo + static_cast<double>(rng.uniform_int(1, 200)));
-    const Bandwidth add = bps(kCap - book.profile().max_over(t0, t1) + rng.uniform(-2.0, 2.0));
-    ASSERT_EQ(book.fits(t0, t1, add, &observer), book.fits_by_scan(t0, t1, add)) << k;
-  }
-  EXPECT_GT(counters.value(obs::Counter::kResidualIndexRebuilds), 0u);
-  EXPECT_GT(counters.value(obs::Counter::kResidualIndexProbes), 0u);
+  EXPECT_GE(probes, 5000u);
+  EXPECT_GT(admitted, probes / 10);
+  EXPECT_GT(rejected, probes / 10);
+  EXPECT_GT(retired, 0u);
 }
 
 TEST(PortBook, CollectFoldsOnlyABatchOfAtLeastHalfTheResidents) {

@@ -23,7 +23,6 @@
 #include <string>
 #include <vector>
 
-#include "core/residual_index.hpp"
 #include "core/timeline_profile.hpp"
 #include "core/validate.hpp"
 #include "obs/counters.hpp"
@@ -119,43 +118,6 @@ TEST(TsanStress, SharedMergedProfileSurvivesConcurrentQueries) {
   });
   EXPECT_EQ(mismatches.load(), 0);
   EXPECT_TRUE(profile.merged()) << "concurrent queries must not unmerge";
-}
-
-TEST(TsanStress, SharedResidualIndexSurvivesConcurrentReadOnlyQueries) {
-  // The residual index's documented sharing contract (DESIGN.md §5g): once
-  // built, peak_over is a pure read — no lazy push-down, no cache writes —
-  // so a *read-only* index may be queried from many threads. rebuild/apply
-  // are writes and stay single-threaded (NetworkLedger owns its indexes per
-  // engine); this pins the read side under TSan.
-  TimelineProfile profile;
-  for (int k = 0; k < 5000; ++k) {
-    const double t0 = static_cast<double>((k * 37) % 1000);
-    profile.add(TimePoint::at_seconds(t0),
-                TimePoint::at_seconds(t0 + 5.0 + static_cast<double>(k % 7)), 1.0);
-  }
-  profile.ensure_merged();
-  ResidualIndex index;
-  index.rebuild(profile);
-  ASSERT_TRUE(index.exact());
-
-  // Expected answers computed serially, before sharing.
-  std::vector<double> expected;
-  expected.reserve(64);
-  for (std::size_t i = 0; i < 64; ++i) {
-    const auto lo = TimePoint::at_seconds(static_cast<double>(i * 17 % 1000));
-    expected.push_back(index.peak_over(lo, lo + Duration::seconds(50)));
-  }
-
-  ThreadPool pool{8};
-  std::atomic<int> mismatches{0};
-  parallel_for_index(pool, 256, [&](std::size_t i) {
-    const std::size_t q = i % 64;
-    const auto lo = TimePoint::at_seconds(static_cast<double>(q * 17 % 1000));
-    if (index.peak_over(lo, lo + Duration::seconds(50)) != expected[q]) ++mismatches;
-    if (index.peak_over(lo, lo) != 0.0) ++mismatches;  // empty window
-  });
-  EXPECT_EQ(mismatches.load(), 0);
-  EXPECT_TRUE(index.exact()) << "concurrent reads must not perturb the index";
 }
 
 TEST(TsanStress, ParallelForIndexExceptionPropagationUnderLoad) {
