@@ -4,8 +4,8 @@
 //   queries:     StepFunction (std::map deltas, O(n) scans)  vs
 //                TimelineProfile (flat breakpoints + prefix caches,
 //                O(log n) binary-searched queries)
-//   validation:  validate_schedule kReference (serial, map profiles)  vs
-//                kSerial (flat)  vs  kParallel (flat + per-port threads)
+//   validation:  validate_schedule kReference (hashed ids, map profiles)  vs
+//                kSerial (id merge join, flat profiles)
 //   alternate:   the admission books' call pattern (one max_over probe, one
 //                reservation, repeat) on a profile of 64 / 1k / 10k resident
 //                breakpoints: buffered `add` (a full merge before every
@@ -233,7 +233,7 @@ int run(int argc, const char* const* argv) {
   }
 
   // -------------------------------------------------------------------
-  // Part B: whole-schedule validation, reference vs flat vs parallel.
+  // Part B: whole-schedule validation, reference vs flat.
   // -------------------------------------------------------------------
   for (const std::size_t n : sizes) {
     const auto requests = workload_of(n);
@@ -243,37 +243,25 @@ int run(int argc, const char* const* argv) {
       assignments.push_back(Assignment{r.id, r.release, r.min_rate()});
     }
 
-    auto options_for = [&](ValidateEngine engine) {
-      ValidateOptions options;
-      options.engine = engine;
-      options.threads = args.config.threads;
-      return options;
-    };
-    ValidationReport ref_report, serial_report, parallel_report;
-    RunningStats ref_wall, serial_wall, parallel_wall;
+    ValidateOptions reference_options;
+    reference_options.engine = ValidateEngine::kReference;
+    ValidationReport ref_report, serial_report;
+    RunningStats ref_wall, serial_wall;
     for (std::size_t rep = 0; rep < reps; ++rep) {
       ref_wall.add(time_once([&] {
         ref_report = validate_assignments(paper_network(), requests, assignments,
-                                          options_for(ValidateEngine::kReference));
+                                          reference_options);
       }));
       serial_wall.add(time_once([&] {
-        serial_report = validate_assignments(paper_network(), requests, assignments,
-                                             options_for(ValidateEngine::kSerial));
-      }));
-      parallel_wall.add(time_once([&] {
-        parallel_report = validate_assignments(paper_network(), requests, assignments,
-                                               options_for(ValidateEngine::kParallel));
+        serial_report = validate_assignments(paper_network(), requests, assignments);
       }));
     }
-    if (!same_report(ref_report, serial_report) ||
-        !same_report(ref_report, parallel_report)) {
+    if (!same_report(ref_report, serial_report)) {
       std::cerr << "FATAL: validator engines diverge at n=" << n << "\n";
       return 1;
     }
     const double serial_speedup =
         serial_wall.mean() > 0.0 ? ref_wall.mean() / serial_wall.mean() : 0.0;
-    const double parallel_speedup =
-        parallel_wall.mean() > 0.0 ? ref_wall.mean() / parallel_wall.mean() : 0.0;
     table.add_row({"validate", std::to_string(requests.size()), "reference", "-",
                    format_double(ref_wall.mean(), 4), "1.00x",
                    spread_of(ref_wall, ref_wall.mean())});
@@ -281,22 +269,14 @@ int run(int argc, const char* const* argv) {
                    format_double(serial_wall.mean(), 4),
                    format_double(serial_speedup, 2) + "x",
                    spread_of(serial_wall, serial_wall.mean())});
-    table.add_row({"validate", std::to_string(requests.size()), "flat-parallel", "-",
-                   format_double(parallel_wall.mean(), 4),
-                   format_double(parallel_speedup, 2) + "x",
-                   spread_of(parallel_wall, parallel_wall.mean())});
     names.push_back("validate/" + std::to_string(requests.size()) + "/reference");
     names.push_back("validate/" + std::to_string(requests.size()) + "/flat-serial");
-    names.push_back("validate/" + std::to_string(requests.size()) + "/flat-parallel");
     walls.push_back(ref_wall);
     walls.push_back(serial_wall);
-    walls.push_back(parallel_wall);
     std::cout << "validation, n=" << requests.size() << ": reference "
               << format_double(ref_wall.mean(), 4) << "s, flat-serial "
               << format_double(serial_wall.mean(), 4) << "s ("
-              << format_double(serial_speedup, 1) << "x), flat-parallel "
-              << format_double(parallel_wall.mean(), 4) << "s ("
-              << format_double(parallel_speedup, 1) << "x)\n";
+              << format_double(serial_speedup, 1) << "x)\n";
   }
 
   // -------------------------------------------------------------------
@@ -360,7 +340,7 @@ int run(int argc, const char* const* argv) {
   }
 
   const std::string title =
-      "Flat timeline profiles — map vs flat queries, serial vs parallel validation, "
+      "Flat timeline profiles — map vs flat queries, reference vs flat validation, "
       "probe+reserve buffered vs in place";
   bench::emit(title, table, args);
   if (!args.json_path.empty()) {

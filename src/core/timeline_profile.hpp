@@ -34,12 +34,11 @@
 // Thread safety: queries may trigger the lazy merge and therefore mutate
 // internal caches even though they are declared `const`. A profile is safe
 // to share across threads for read-only queries only once `ensure_merged()`
-// (alias: `compile()`) has run and no further write happens; two
-// threads racing the first query on an unmerged profile is a data race that
-// ThreadSanitizer reports (tests/tsan_stress_test.cpp exercises the merged
-// path). The parallel validator materializes every port profile in a
-// dedicated pre-pass before its query sweep shares them; distinct profiles
-// are always independent.
+// has run and no further write happens; two threads racing the first query
+// on an unmerged profile is a data race that ThreadSanitizer reports
+// (tests/tsan_stress_test.cpp exercises the merged path). Whoever fans a
+// profile out to concurrent readers calls `ensure_merged()` first; distinct
+// profiles are always independent.
 
 #pragma once
 
@@ -69,9 +68,6 @@ class TimelineProfile {
   /// after this returns (and until the next write), every query is
   /// a pure read and any number of threads may query concurrently.
   void ensure_merged() const;
-
-  /// Back-compatible alias for `ensure_merged()`.
-  void compile() const { ensure_merged(); }
 
   /// True when no pending adds are buffered, i.e. queries are pure reads.
   [[nodiscard]] bool merged() const { return pending_.empty(); }

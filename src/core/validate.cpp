@@ -5,13 +5,12 @@
 #include <cstdio>
 #include <optional>
 #include <sstream>
-#include <thread>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 
 #include "core/step_function.hpp"
 #include "core/timeline_profile.hpp"
-#include "util/thread_pool.hpp"
 
 namespace gridbw {
 
@@ -44,22 +43,84 @@ std::string ValidationReport::to_string() const {
 
 namespace {
 
-/// One accepted request's load contribution on a single port (reference
-/// engine only; the flat engines build their port profiles during pass 1).
+/// One accepted load on one port, kept for the reference engine's peak.
 struct LoadSegment {
   TimePoint start;
   TimePoint end;
   double bw;
 };
 
-/// Capacity verdict from a port's peak load; every engine funnels through
-/// this so the violation text (and the peak double) is engine-independent.
-std::optional<Violation> peak_violation(double peak, Bandwidth capacity,
-                                        ViolationKind kind, std::size_t port) {
-  if (approx_le(Bandwidth::bytes_per_second(peak), capacity)) return std::nullopt;
-  return Violation{kind, 0, port,
-                   "peak " + to_string(Bandwidth::bytes_per_second(peak)) +
-                       " > capacity " + to_string(capacity)};
+/// The reference engine's port peak, from one StepFunction per port.
+double reference_peak(std::span<const LoadSegment> segments) {
+  StepFunction load;
+  for (const LoadSegment& s : segments) load.add(s.start, s.end, s.bw);
+  return load.global_max();
+}
+
+/// What the id join found for one assignment: its request (nullptr for an
+/// unknown id) and whether an earlier assignment already claimed that id.
+struct Match {
+  const Request* request{nullptr};
+  bool duplicate{false};
+};
+
+/// (id, position) of `items` in ascending id order, equal ids in input
+/// order; empty when the items already are in that order. One linear check,
+/// and a stable sort only for out-of-order input.
+template <typename T, typename IdOf>
+std::vector<std::pair<RequestId, std::size_t>> id_order(std::span<const T> items,
+                                                        IdOf id_of) {
+  const auto by_id = [&](const T& a, const T& b) { return id_of(a) < id_of(b); };
+  if (std::is_sorted(items.begin(), items.end(), by_id)) return {};
+  std::vector<std::pair<RequestId, std::size_t>> order;
+  order.reserve(items.size());
+  for (std::size_t k = 0; k < items.size(); ++k) order.emplace_back(id_of(items[k]), k);
+  std::stable_sort(order.begin(), order.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  return order;
+}
+
+/// The flat engine's join: a merge of requests and assignments, both walked
+/// in id order. A request id repeated in the set resolves to its first copy;
+/// among assignments sharing an id the earliest keeps the load, and each
+/// later one follows an equal id in the stable order: a duplicate.
+std::vector<Match> merge_join(std::span<const Request> requests,
+                              std::span<const Assignment> assignments) {
+  const auto request_order = id_order(requests, [](const Request& r) { return r.id; });
+  const auto assignment_order =
+      id_order(assignments, [](const Assignment& a) { return a.request; });
+  const auto request_at = [&](std::size_t i) -> const Request& {
+    return requests[request_order.empty() ? i : request_order[i].second];
+  };
+  std::vector<Match> matches(assignments.size());
+  std::size_t i = 0;
+  std::optional<RequestId> previous;
+  for (std::size_t k = 0; k < assignments.size(); ++k) {
+    const std::size_t pos = assignment_order.empty() ? k : assignment_order[k].second;
+    const RequestId id = assignments[pos].request;
+    while (i < requests.size() && request_at(i).id < id) ++i;
+    if (i < requests.size() && request_at(i).id == id) {
+      matches[pos] = Match{&request_at(i), previous == id};
+    }
+    previous = id;
+  }
+  return matches;
+}
+
+/// The reference engine's join, kept hashed so the differential tests check
+/// the merge join against an independent lookup.
+std::vector<Match> hashed_join(std::span<const Request> requests,
+                               std::span<const Assignment> assignments) {
+  std::unordered_map<RequestId, const Request*> by_id;
+  by_id.reserve(requests.size());
+  for (const Request& r : requests) by_id.emplace(r.id, &r);
+  std::unordered_set<RequestId> seen;
+  std::vector<Match> matches(assignments.size());
+  for (std::size_t k = 0; k < assignments.size(); ++k) {
+    const auto it = by_id.find(assignments[k].request);
+    if (it != by_id.end()) matches[k] = Match{it->second, !seen.insert(it->first).second};
+  }
+  return matches;
 }
 
 }  // namespace
@@ -74,46 +135,29 @@ ValidationReport validate_assignments(const Network& network,
     report.violations.push_back(Violation{kind, id, port, std::move(detail)});
   };
 
-  std::unordered_map<RequestId, const Request*> by_id;
-  by_id.reserve(requests.size());
-  for (const Request& r : requests) by_id.emplace(r.id, &r);
-
-  ValidateEngine engine = options.engine;
-  if (engine == ValidateEngine::kAuto) {
-    engine = assignments.size() >= options.parallel_threshold
-                 ? ValidateEngine::kParallel
-                 : ValidateEngine::kSerial;
-  }
+  const bool reference = options.engine == ValidateEngine::kReference;
+  const std::vector<Match> matches =
+      reference ? hashed_join(requests, assignments) : merge_join(requests, assignments);
 
   const std::size_t in_count = network.ingress_count();
   const std::size_t port_count = in_count + network.egress_count();
 
-  // Pass 1 (serial): per-request checks, plus accumulating every accepted
-  // load by port. The reference engine keeps raw segment lists (it rebuilds
-  // a StepFunction per port); the flat engines add straight into per-port
-  // TimelineProfiles, ingress ports first then egress ports, in assignment
-  // order — the same add sequence as before, so peaks stay bit-identical.
-  std::vector<std::vector<LoadSegment>> ingress_segs;
-  std::vector<std::vector<LoadSegment>> egress_segs;
-  std::vector<TimelineProfile> profiles;
-  if (engine == ValidateEngine::kReference) {
-    ingress_segs.resize(in_count);
-    egress_segs.resize(port_count - in_count);
-  } else {
-    profiles.resize(port_count);
-  }
-  std::unordered_set<RequestId> seen;
-  seen.reserve(assignments.size());
+  // Pass 1, in assignment order: per-request checks, plus every accepted load
+  // added to its two ports (ingress first, then egress): raw segment lists for
+  // kReference, TimelineProfiles for the flat engine. Each port sees its loads
+  // in assignment order either way, so the peaks are bit-identical.
+  std::vector<std::vector<LoadSegment>> segments(reference ? port_count : 0);
+  std::vector<TimelineProfile> profiles(reference ? 0 : port_count);
 
-  for (const Assignment& a : assignments) {
-    const auto it = by_id.find(a.request);
-    if (it == by_id.end()) {
+  for (std::size_t k = 0; k < assignments.size(); ++k) {
+    const Assignment& a = assignments[k];
+    if (matches[k].request == nullptr) {
       flag(ViolationKind::kUnknownRequest, a.request, 0, "no such request in the set");
       continue;
     }
-    const Request& r = *it->second;
+    const Request& r = *matches[k].request;
 
-    if (!seen.insert(r.id).second) {
+    if (matches[k].duplicate) {
       // The first copy already contributed its load; counting the duplicate
       // too would double-book the port without naming the culprit.
       flag(ViolationKind::kDuplicateAssignment, r.id, 0,
@@ -178,66 +222,32 @@ ValidationReport validate_assignments(const Network& network,
     // assignments emit the exact single segment the pre-profile code added,
     // so constant-only schedules keep bit-identical port peaks.
     a.for_each_segment(r, [&](TimePoint t0, TimePoint t1, Bandwidth rate) {
-      if (engine == ValidateEngine::kReference) {
-        const LoadSegment seg{t0, t1, rate.to_bytes_per_second()};
-        ingress_segs[r.ingress.value].push_back(seg);
-        egress_segs[r.egress.value].push_back(seg);
+      const double bw = rate.to_bytes_per_second();
+      if (reference) {
+        segments[r.ingress.value].push_back(LoadSegment{t0, t1, bw});
+        segments[in_count + r.egress.value].push_back(LoadSegment{t0, t1, bw});
       } else {
-        const double bw = rate.to_bytes_per_second();
         profiles[r.ingress.value].add(t0, t1, bw);
         profiles[in_count + r.egress.value].add(t0, t1, bw);
       }
     });
   }
 
-  // Pass 2: per-port capacity checks. Ports are independent; the report
-  // always lists ingress ports in ascending order, then egress ports.
-  auto port_capacity = [&](std::size_t p) {
-    return p < in_count ? network.ingress_capacity(IngressId{p})
-                        : network.egress_capacity(EgressId{p - in_count});
-  };
-  auto port_kind = [&](std::size_t p) {
-    return p < in_count ? ViolationKind::kIngressOverCapacity
-                        : ViolationKind::kEgressOverCapacity;
-  };
-  auto port_index = [&](std::size_t p) { return p < in_count ? p : p - in_count; };
-
-  std::vector<std::optional<Violation>> port_violations(port_count);
-  if (engine == ValidateEngine::kReference) {
-    for (std::size_t p = 0; p < port_count; ++p) {
-      const auto& segs = p < in_count ? ingress_segs[p] : egress_segs[p - in_count];
-      StepFunction load;
-      for (const LoadSegment& s : segs) load.add(s.start, s.end, s.bw);
-      port_violations[p] =
-          peak_violation(load.global_max(), port_capacity(p), port_kind(p), port_index(p));
+  // Pass 2: per-port capacity checks, ingress ports in ascending order,
+  // then egress ports.
+  for (std::size_t p = 0; p < port_count; ++p) {
+    const Bandwidth peak = Bandwidth::bytes_per_second(
+        reference ? reference_peak(segments[p]) : profiles[p].global_max());
+    const bool ingress = p < in_count;
+    const std::size_t index = ingress ? p : p - in_count;
+    const Bandwidth capacity = ingress ? network.ingress_capacity(IngressId{index})
+                                       : network.egress_capacity(EgressId{index});
+    if (!approx_le(peak, capacity)) {
+      flag(ingress ? ViolationKind::kIngressOverCapacity
+                   : ViolationKind::kEgressOverCapacity,
+           0, index, "peak " + gridbw::to_string(peak) + " > capacity " +
+                         gridbw::to_string(capacity));
     }
-  } else if (engine == ValidateEngine::kParallel && port_count > 1) {
-    std::size_t threads = options.threads != 0
-                              ? options.threads
-                              : std::max<std::size_t>(
-                                    1, std::thread::hardware_concurrency());
-    threads = std::min(threads, port_count);
-    ThreadPool pool{threads};
-    // Materialization pre-pass: merging the pending buffer mutates the lazy
-    // `mutable` caches, so each profile is merged by exactly one task. After
-    // this barrier every query below is a pure read, and the sweep may share
-    // profiles across threads freely (tests/tsan_stress_test.cpp runs this
-    // path under TSan; dropping the pre-pass makes the first queries race).
-    parallel_for_index(pool, port_count,
-                       [&](std::size_t p) { profiles[p].ensure_merged(); });
-    parallel_for_index(pool, port_count, [&](std::size_t p) {
-      const TimelineProfile& load = profiles[p];
-      port_violations[p] =
-          peak_violation(load.global_max(), port_capacity(p), port_kind(p), port_index(p));
-    });
-  } else {
-    for (std::size_t p = 0; p < port_count; ++p) {
-      port_violations[p] = peak_violation(profiles[p].global_max(), port_capacity(p),
-                                          port_kind(p), port_index(p));
-    }
-  }
-  for (auto& v : port_violations) {
-    if (v.has_value()) report.violations.push_back(std::move(*v));
   }
 
   if (options.observer != nullptr) {

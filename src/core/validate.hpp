@@ -7,17 +7,14 @@
 // algorithm produces, so allocation bugs cannot hide behind agreeing
 // bookkeeping.
 //
-// Three interchangeable engines produce identical ValidationReports:
+// Two engines produce identical ValidationReports:
 //
-//  * kReference — the original serial StepFunction (std::map) path, kept as
-//    the obviously-correct baseline the others are differential-tested
-//    against.
-//  * kSerial    — flat TimelineProfile port profiles, serial port sweep.
-//  * kParallel  — flat profiles with the per-port capacity checks fanned out
-//    across a thread pool (ports are independent); violations are merged in
-//    deterministic port order, so the report is byte-identical to kSerial.
-//  * kAuto (default) — kSerial below `parallel_threshold` assignments,
-//    kParallel at or above it.
+//  * kSerial (default) — joins assignments to requests by a merge over both
+//    in id order (no hashing; input already in id order costs one linear
+//    check), then sweeps flat TimelineProfile port profiles.
+//  * kReference — a hashed id lookup and StepFunction (std::map) port
+//    profiles, kept as the obviously-correct oracle the flat engine is
+//    differential-tested against (tests/validate_join_test.cpp).
 
 #pragma once
 
@@ -64,20 +61,16 @@ struct ValidationReport {
   [[nodiscard]] std::string to_string() const;
 };
 
-enum class ValidateEngine { kAuto, kReference, kSerial, kParallel };
+enum class ValidateEngine { kSerial, kReference };
 
 struct ValidateOptions {
   /// The tuning factor f of §2.3: also check
   /// bw(r) >= max(f * MaxRate(r), MinRate-from-start); 0 disables.
   double min_rate_guarantee{0.0};
-  ValidateEngine engine{ValidateEngine::kAuto};
-  /// kAuto switches to the parallel port sweep at this many assignments.
-  std::size_t parallel_threshold{8192};
-  /// Worker threads for kParallel; 0 = hardware concurrency.
-  std::size_t threads{0};
+  ValidateEngine engine{ValidateEngine::kSerial};
   /// Optional observability hook: bumps kValidatorRuns / kValidatorAssignments
-  /// / kValidatorViolations. Counters only — no events are emitted, so serial
-  /// and parallel engines stay byte-identical in any attached trace.
+  /// / kValidatorViolations. Counters only — no events are emitted, so both
+  /// engines leave any attached trace byte-identical.
   obs::Observer* observer{nullptr};
 };
 
@@ -94,8 +87,9 @@ struct ValidateOptions {
                                                  double min_rate_guarantee = 0.0);
 
 /// Validates a raw assignment list that need not satisfy the Schedule
-/// class's uniqueness invariant — duplicate request ids are reported as
-/// kDuplicateAssignment (the duplicate's load is not double-counted).
+/// class's uniqueness invariant: the earliest assignment of an id carries
+/// its load, and each later one is a kDuplicateAssignment. A request id
+/// repeated in `requests` resolves to its first copy.
 [[nodiscard]] ValidationReport validate_assignments(const Network& network,
                                                     std::span<const Request> requests,
                                                     std::span<const Assignment> assignments,

@@ -99,13 +99,13 @@ TEST(TimelineProfile, PendingBufferMergesAcrossBatches) {
 TEST(TimelineProfile, CompileAllowsConstSharedQueries) {
   TimelineProfile f;
   f.add(at(1), at(9), 2.5);
-  f.compile();
+  f.ensure_merged();
   const TimelineProfile& view = f;
   EXPECT_EQ(view.value_at(at(4)), 2.5);
 }
 
 TEST(TimelineProfile, MergedReflectsPendingStateAcrossTheLifecycle) {
-  // The sharing contract of the parallel validator: a profile may only be
+  // The sharing contract of ensure_merged(): a profile may only be
   // handed to concurrent readers while merged() holds; any add() revokes it
   // until the next ensure_merged()/query. (tests/tsan_stress_test.cpp
   // exercises the actual concurrent reads under ThreadSanitizer.)

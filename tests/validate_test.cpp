@@ -179,8 +179,7 @@ TEST_F(ValidateTest, EngineOptionsAgreeOnSmallSchedules) {
   Schedule s;
   s.accept(1, at(0), mbps(60));
   s.accept(2, at(0), mbps(60));
-  for (const auto engine : {ValidateEngine::kReference, ValidateEngine::kSerial,
-                            ValidateEngine::kParallel}) {
+  for (const auto engine : {ValidateEngine::kReference, ValidateEngine::kSerial}) {
     ValidateOptions options;
     options.engine = engine;
     const auto report = validate_schedule(net_, rs, s, options);
