@@ -1,6 +1,7 @@
 #include "core/schedule.hpp"
 
 #include <stdexcept>
+#include <string>
 
 namespace gridbw {
 
@@ -15,15 +16,44 @@ void Schedule::accept(RequestId request, TimePoint start, Bandwidth bw) {
   assignments_.push_back(Assignment{request, start, bw});
 }
 
-void Schedule::accept_profile(RequestId request, RateProfile profile) {
+namespace {
+
+void check_well_formed(const RateProfile& profile) {
   if (const auto why = profile.defect(profile.empty() ? TimePoint::origin()
                                                       : profile.start())) {
     throw std::logic_error{"Schedule::accept_profile: " + *why};
   }
-  if (profile.size() == 1) {
-    accept(request, profile.start(), profile.steps().front().rate);
+}
+
+}  // namespace
+
+void Schedule::accept_profile(const Request& request, RateProfile profile) {
+  check_well_formed(profile);
+  if (profile.size() > 1) {
+    accept_stepped(request.id, std::move(profile));
     return;
   }
+  const Bandwidth rate = profile.steps().front().rate;
+  const TimePoint derived = profile.start() + request.volume / rate;
+  if (!approx_le(profile.end(), derived) || !approx_le(derived, profile.end())) {
+    throw std::logic_error{"Schedule::accept_profile: single-step profile of request " +
+                           std::to_string(request.id) + " ends at " +
+                           to_string(profile.end()) + ", not at start + vol/rate = " +
+                           to_string(derived)};
+  }
+  accept(request.id, profile.start(), rate);
+}
+
+void Schedule::accept_profile(RequestId request, RateProfile profile) {
+  check_well_formed(profile);
+  if (profile.size() == 1) {
+    throw std::logic_error{
+        "Schedule::accept_profile: a single-step profile needs its request to check its end"};
+  }
+  accept_stepped(request, std::move(profile));
+}
+
+void Schedule::accept_stepped(RequestId request, RateProfile profile) {
   if (index_.count(request) > 0) {
     throw std::logic_error{"Schedule::accept_profile: request already accepted"};
   }

@@ -79,11 +79,19 @@ class Schedule {
   /// one.
   void accept(RequestId request, TimePoint start, Bandwidth bw);
 
-  /// Records a profiled assignment. Throws if the request already has one
-  /// or the profile is malformed (RateProfile::defect). A single-step
-  /// profile is normalized to a plain constant assignment — the constant
-  /// form is canonical, so "never reshaped" schedules compare byte-identical
-  /// to constant-engine output.
+  /// Records a profiled assignment for `request`. Throws std::logic_error if
+  /// the request already has one or the profile is malformed
+  /// (RateProfile::defect). A single-step profile is normalized to a plain
+  /// constant assignment — the constant form is canonical, so "never
+  /// reshaped" schedules compare byte-identical to constant-engine output —
+  /// and since that form derives its end as start + vol/rate, the profile's
+  /// own end must equal it within the validator's end tolerance
+  /// (approx_le on instants, both ways), or this throws std::logic_error.
+  void accept_profile(const Request& request, RateProfile profile);
+
+  /// The same for a profile of two or more steps, where the request's
+  /// volume is not needed (schedule files carry none). Throws
+  /// std::logic_error on a single-step profile, whose end it cannot check.
   void accept_profile(RequestId request, RateProfile profile);
 
   /// Withdraws an assignment (rigid *-SLOTS heuristics retro-remove
@@ -97,6 +105,8 @@ class Schedule {
   [[nodiscard]] std::span<const Assignment> assignments() const { return assignments_; }
 
  private:
+  void accept_stepped(RequestId request, RateProfile profile);
+
   std::vector<Assignment> assignments_;
   std::unordered_map<RequestId, std::size_t> index_;  // request -> position
 };

@@ -107,7 +107,7 @@ class FluidBook {
     f.live = false;
     --live_count_;
     f.profile.set_end(done.finish);
-    result_->schedule.accept_profile(f.request->id, std::move(f.profile));
+    result_->schedule.accept_profile(*f.request, std::move(f.profile));
     counters.reclaim(done.ingress, done.egress, done.bw);
     obs::note_reclaimed(observer_, done.request, done.finish, done.bw);
     if (reshape_ && live_count_ > 0) refill(done.finish);
@@ -150,7 +150,8 @@ class FluidBook {
       // Reshapes at one instant that take the flow away and back to its
       // rate coalesce the profile to one step, and accept_profile records a
       // single-step profile as a constant assignment ending at
-      // start + vol/rate. Predict exactly that end: the rebased
+      // start + vol/rate (and throws if the profile ends elsewhere).
+      // Predict exactly that end: the rebased
       // t + remaining/rate can land a few ulps earlier, reclaiming the
       // capacity while the recorded transfer still holds it. (Never before
       // `t`: completions must not run backwards past this reshape.)

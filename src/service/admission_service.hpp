@@ -1,22 +1,28 @@
 // gridbw/service/admission_service.hpp
 //
-// Steady-state churn engine (ROADMAP direction #1): the long-running
-// counterpart to the closed-batch schedulers. Requests are ingested into a
-// queue, sequenced into one deterministic event order (arrivals at release,
-// departures at deadline), and executed by worker threads over per-port
-// shards (DESIGN.md §5h):
+// Steady-state churn engine: the long-running counterpart to the
+// closed-batch schedulers. Requests are ingested into a queue, sequenced
+// into one deterministic event order (arrivals at release, departures at
+// deadline), and executed over per-port shards (DESIGN.md §5h):
 //
 //  * One shard per port (ingress and egress ports share one id space): the
-//    port's PortBook (core/port_book.hpp), a mutex + condition variable, an
-//    applied-event counter, and the GC bookkeeping (live-start heap,
-//    departures since the last retirement scan).
-//  * drain() sorts the batch's events by (time, departure-before-arrival,
-//    request id) and gives each a sequence number on both its ports. Worker
-//    w executes the requests whose ingress id is w mod workers, in order.
-//  * An event runs only once BOTH its ports have applied exactly the events
-//    sequenced before it (lower-id shard locked and waited on first), so
-//    every decision sees the serial-order state: outcomes are byte-identical
-//    to a serial replay for any worker count and thread schedule.
+//    port's PortBook (core/port_book.hpp), the GC bookkeeping (live-start
+//    heap, departures since the last retirement scan) and, for multi-shard
+//    runs, a mutex + condition variable and an applied-event counter.
+//  * drain() orders the batch by (time, departure-before-arrival, request
+//    id) without a global sort: the arrivals, already in release order or
+//    else sorted once, are merged with a min-heap of the departures of the
+//    reservations still open. On a release-ordered batch that costs
+//    O(log window) per departure on top of one linear pass.
+//  * With one shard, the calling thread runs the events in that order: the
+//    serial replay itself, with no lock, wait or sequence number.
+//  * With more, the same pass gives every event a sequence number on both
+//    its ports, and worker w executes the requests whose ingress id is
+//    w mod shards. An event runs only once BOTH its ports have applied
+//    exactly the events sequenced before it (lower-id shard locked and
+//    waited on first), so every decision sees the serial-order state:
+//    outcomes are byte-identical to the serial replay for any worker count
+//    and thread schedule.
 //  * Every `gc_batch` departures a shard offers PortBook::collect the safe
 //    watermark min(current event time, earliest live start on the port).
 //    Decisions are bit-identical with GC on or off (retire_before's
@@ -46,8 +52,9 @@ namespace gridbw::service {
 
 struct ServiceOptions {
   /// Worker threads; each owns the requests whose ingress port id is
-  /// congruent to its index (mod shards). 1 = serial execution. The
-  /// admission decisions do not depend on this value.
+  /// congruent to its index (mod shards). 1 = serial execution on the
+  /// calling thread, without locks. The admission decisions do not depend
+  /// on this value.
   std::size_t shards{1};
   /// Retired-breakpoint GC on departures. Off = profiles only grow;
   /// decisions are bit-identical either way.
@@ -102,6 +109,10 @@ struct ServiceSnapshot {
 /// report; repeat submit/drain for later batches (port state persists, so
 /// later batches must not release work before already-drained instants).
 /// snapshot() reads the shard state between batches.
+///
+/// Precondition: request ids are unique over the service's lifetime. They
+/// order the events of equal instants and key was_admitted(); a repeated
+/// id makes both unspecified.
 class AdmissionService {
  public:
   AdmissionService(const Network& network, ServiceOptions options);
@@ -117,8 +128,11 @@ class AdmissionService {
   /// A degenerate window or an infeasible rate is a rejection, not an error.
   void submit(const Request& request);
 
-  /// Seals the ingest queue, executes every queued event across the shard
-  /// workers, joins them, and emits the batch's trace in event order.
+  /// Seals the ingest queue, executes every queued event (on the calling
+  /// thread with one shard, across the shard workers otherwise), and emits
+  /// the batch's trace in event order. Throws std::length_error, leaving
+  /// the queue in place, when the service would hold more than 2^31
+  /// requests.
   ServiceReport drain();
 
   [[nodiscard]] ServiceSnapshot snapshot() const;

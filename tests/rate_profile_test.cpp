@@ -93,10 +93,21 @@ TEST(RateProfile, DefectTaxonomy) {
   EXPECT_TRUE(bad_rate.defect(at(0)).has_value());
 }
 
+// A request carrying exactly 10 s of transfer at 10 MB/s.
+Request ten_second_transfer(RequestId id) {
+  return RequestBuilder{id}
+      .from(IngressId{0})
+      .to(EgressId{0})
+      .window(at(0), at(100))
+      .volume(mbps(10) * Duration::seconds(10))
+      .max_rate(mbps(50))
+      .build();
+}
+
 TEST(RateProfile, ScheduleAcceptProfileNormalizesSingleStepToConstant) {
   Schedule s;
   RateProfile p = RateProfile::constant(at(0), at(10), mbps(10));
-  s.accept_profile(7, std::move(p));
+  s.accept_profile(ten_second_transfer(7), std::move(p));
   const auto a = s.assignment(7);
   ASSERT_TRUE(a.has_value());
   // Canonical form: a one-step profile IS the constant allocation and takes
@@ -104,6 +115,33 @@ TEST(RateProfile, ScheduleAcceptProfileNormalizesSingleStepToConstant) {
   EXPECT_FALSE(a->is_profiled());
   EXPECT_EQ(a->start, at(0));
   EXPECT_EQ(a->bw, mbps(10));
+}
+
+TEST(RateProfile, ScheduleAcceptProfileChecksSingleStepEnd) {
+  const Request r = ten_second_transfer(7);
+  // Within the validator's end tolerance (1 us) of start + vol/rate: kept,
+  // recorded in the constant form whose end is the derived one.
+  Schedule near;
+  near.accept_profile(r, RateProfile::constant(at(0), at(10.0000005), mbps(10)));
+  const auto a = near.assignment(7);
+  ASSERT_TRUE(a.has_value());
+  EXPECT_FALSE(a->is_profiled());
+  EXPECT_EQ(a->end(r), at(10));
+  // An end the constant form cannot represent, early or late: refused, and
+  // nothing is recorded.
+  for (const double end : {9.0, 10.00001, 12.0}) {
+    Schedule s;
+    EXPECT_THROW(s.accept_profile(r, RateProfile::constant(at(0), at(end), mbps(10))),
+                 std::logic_error)
+        << "end " << end;
+    EXPECT_FALSE(s.is_accepted(7));
+  }
+  // Without the request the end cannot be checked: the id-only form refuses
+  // every single-step profile.
+  Schedule by_id;
+  EXPECT_THROW(by_id.accept_profile(7, RateProfile::constant(at(0), at(10), mbps(10))),
+               std::logic_error);
+  EXPECT_FALSE(by_id.is_accepted(7));
 }
 
 TEST(RateProfile, ScheduleAcceptProfileKeepsMultiStepAndPinsPeak) {

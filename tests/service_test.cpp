@@ -18,6 +18,7 @@
 #include <chrono>
 #include <cstdint>
 #include <limits>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -27,6 +28,7 @@
 #include "obs/counters.hpp"
 #include "obs/trace_sink.hpp"
 #include "service/admission_service.hpp"
+#include "util/random.hpp"
 #include "workload/generator.hpp"
 #include "workload/load.hpp"
 #include "workload/scenario.hpp"
@@ -252,6 +254,165 @@ TEST(Service, DrainRacingInFlightSubmitMatchesQuiescedDecisions) {
   const service::ServiceSnapshot snap = svc.snapshot();
   EXPECT_EQ(snap.live, 0u);
   EXPECT_EQ(snap.peak_standing_load, 0.0);
+}
+
+// ---- sequencing oracle ------------------------------------------------------
+//
+// drain() sequences each batch without a global sort (a merge of the
+// arrivals with a heap of pending departures). The oracle is the plain
+// definition: a stable sort of the batch's arrivals (at release) and its
+// admitted requests' departures (at deadline) by (time, departures first,
+// id). The trace must list exactly that order, batch after batch, for any
+// shard count and GC on or off.
+
+struct EventKey {
+  double t{0.0};
+  bool departure{false};
+  RequestId id{0};
+  friend bool operator==(const EventKey&, const EventKey&) = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const EventKey& k) {
+  return os << (k.departure ? "departure " : "arrival ") << k.id << " @" << k.t;
+}
+
+std::vector<EventKey> oracle_order(const std::vector<Request>& batch,
+                                   const std::set<RequestId>& admitted) {
+  std::vector<EventKey> keys;
+  for (const Request& r : batch) {
+    keys.push_back({r.release.to_seconds(), false, r.id});
+    if (admitted.count(r.id) > 0) keys.push_back({r.deadline.to_seconds(), true, r.id});
+  }
+  std::stable_sort(keys.begin(), keys.end(), [](const EventKey& a, const EventKey& b) {
+    if (a.t != b.t) return a.t < b.t;
+    if (a.departure != b.departure) return a.departure;
+    return a.id < b.id;
+  });
+  return keys;
+}
+
+// The trace's event order as keys: every `submitted` must be followed at
+// once by the same request's decision, and `expired` is its departure.
+std::vector<EventKey> traced_order(const std::vector<obs::AdmissionEvent>& events,
+                                   std::set<RequestId>& admitted) {
+  std::vector<EventKey> keys;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const obs::AdmissionEvent& e = events[i];
+    if (e.kind == obs::EventKind::kExpired) {
+      keys.push_back({e.when.to_seconds(), true, e.request});
+      continue;
+    }
+    EXPECT_EQ(e.kind, obs::EventKind::kSubmitted) << "event " << i;
+    keys.push_back({e.when.to_seconds(), false, e.request});
+    if (i + 1 == events.size()) {
+      ADD_FAILURE() << "request " << e.request << " submitted but never decided";
+      break;
+    }
+    const obs::AdmissionEvent& decision = events[++i];
+    EXPECT_EQ(decision.request, e.request) << "event " << i;
+    if (decision.kind == obs::EventKind::kAccepted) {
+      admitted.insert(e.request);
+    } else {
+      EXPECT_EQ(decision.kind, obs::EventKind::kRejected) << "event " << i;
+    }
+  }
+  return keys;
+}
+
+// Runs `batches` (one drain each, submitted in the given order) and checks
+// the trace against the oracle at every shard count, GC on and off.
+void expect_oracle_order(const Network& net, const std::vector<std::vector<Request>>& batches,
+                         const std::string& label) {
+  for (const std::size_t shards : {1u, 2u, 4u}) {
+    for (const bool gc : {true, false}) {
+      SCOPED_TRACE(label + " shards " + std::to_string(shards) + " gc " + std::to_string(gc));
+      obs::MemorySink sink;
+      obs::Observer observer{&sink, nullptr};
+      service::AdmissionService svc{
+          net, {.shards = shards, .gc = gc, .gc_batch = 4, .observer = &observer}};
+      std::vector<EventKey> expected;
+      std::size_t seen = 0;
+      for (const std::vector<Request>& batch : batches) {
+        for (const Request& r : batch) svc.submit(r);
+        const service::ServiceReport report = svc.drain();
+        EXPECT_EQ(report.submitted, batch.size());
+        const std::vector<obs::AdmissionEvent> events(
+            sink.events().begin() + static_cast<std::ptrdiff_t>(seen), sink.events().end());
+        seen = sink.events().size();
+        std::set<RequestId> admitted;
+        const std::vector<EventKey> got = traced_order(events, admitted);
+        EXPECT_EQ(admitted.size(), report.admitted);
+        EXPECT_EQ(got, oracle_order(batch, admitted));
+      }
+    }
+  }
+}
+
+// Integer instants on a 3x3 fabric: arrivals, departures and deadlines
+// share instants all the time. Every 7th request has a zero or negative
+// window and every 11th needs more than its cap, so both static rejections
+// are mixed into the merge.
+std::vector<Request> tie_heavy_workload(std::uint64_t seed, std::size_t count) {
+  Rng rng{seed};
+  std::vector<Request> out;
+  for (std::size_t k = 0; k < count; ++k) {
+    const auto release = static_cast<double>(rng.uniform_int(0, 40));
+    const auto window = static_cast<double>(rng.uniform_int(1, 5));
+    const double share = 0.1 * static_cast<double>(rng.uniform_int(1, 5));  // of 1 GB/s
+    Request r;
+    r.id = static_cast<RequestId>(k + 1);
+    r.ingress = IngressId{static_cast<std::size_t>(rng.uniform_int(0, 2))};
+    r.egress = EgressId{static_cast<std::size_t>(rng.uniform_int(0, 2))};
+    r.release = TimePoint::at_seconds(release);
+    r.deadline = TimePoint::at_seconds(k % 7 == 3 ? release - window * (k % 2 == 0 ? 1.0 : 0.0)
+                                                  : release + window);
+    r.volume = Volume::bytes(share * 1e9 * window);
+    r.max_rate = Bandwidth::bytes_per_second(k % 11 == 5 ? share * 5e8 : share * 1e9);
+    out.push_back(r);
+  }
+  return out;
+}
+
+TEST(ServiceSequencing, TraceOrderMatchesStableSortOracle) {
+  const Network net = Network::uniform(3, 3, Bandwidth::gigabytes_per_second(1));
+  for (const std::uint64_t seed : kSeeds) {
+    const std::string tag = "seed " + std::to_string(seed) + ": ";
+    std::vector<Request> requests = tie_heavy_workload(seed, 300);
+
+    // Ids follow submission order but not release order: the arrivals need
+    // the sorting fallback.
+    expect_oracle_order(net, {requests}, tag + "ids out of release order");
+
+    // Ids in release order, submitted in id order: the linear fast path.
+    std::vector<Request> ordered = requests;
+    std::stable_sort(ordered.begin(), ordered.end(), [](const Request& a, const Request& b) {
+      return a.release < b.release;
+    });
+    for (std::size_t k = 0; k < ordered.size(); ++k) ordered[k].id = k + 1;
+    expect_oracle_order(net, {ordered}, tag + "release order");
+
+    // The same requests submitted shuffled: the inbox needs its id sort.
+    std::vector<Request> shuffled = ordered;
+    Rng rng{seed + 1};
+    rng.shuffle(shuffled);
+    expect_oracle_order(net, {shuffled}, tag + "shuffled submission");
+
+    // Two drains; the second batch releases after every first-batch
+    // deadline, as the multi-batch contract requires.
+    std::vector<Request> later = ordered;
+    for (Request& r : later) {
+      r.id += ordered.size();
+      r.release = r.release + Duration::seconds(100.0);
+      r.deadline = r.deadline + Duration::seconds(100.0);
+    }
+    expect_oracle_order(net, {ordered, later}, tag + "two batches");
+  }
+}
+
+TEST(ServiceSequencing, EmptyDrainEmitsNothing) {
+  const Network net = Network::uniform(3, 3, Bandwidth::gigabytes_per_second(1));
+  expect_oracle_order(net, {{}}, "empty");
+  expect_oracle_order(net, {tie_heavy_workload(7, 50), {}}, "non-empty then empty");
 }
 
 TEST(Service, RejectsDegenerateAndInfeasibleUpFront) {
